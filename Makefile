@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race check bench bench-json bench-sweeps bench-scale bench-bitplane bench-serving bench-memory bench-compare report serve serve-race load-smoke chaos chaos-smoke trace-smoke smoke-examples sweep sweep-smoke sweep-large sweep-xl sweep-xxl fmt vet lint staticcheck govulncheck
+.PHONY: build test race flake check bench bench-json bench-sweeps bench-scale bench-bitplane bench-serving bench-memory bench-compare report serve serve-race load-smoke chaos chaos-smoke trace-smoke smoke-examples sweep sweep-smoke sweep-large sweep-xl sweep-xxl fmt vet lint staticcheck govulncheck
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,12 @@ test:
 
 race:
 	$(GO) test -race ./internal/...
+
+# Flake gate: twenty shuffled race-detector runs of the packages whose
+# tests exercise cancellation, caching and serving concurrency, so an
+# intermittent failure fails CI the first time it shows up.
+flake:
+	$(GO) test -race -count=20 -shuffle=on ./internal/engine ./internal/results ./cmd/bccd
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
@@ -61,10 +67,8 @@ smoke-examples:
 bench:
 	$(GO) test -bench 'BenchmarkE' -benchmem -benchtime 20x -run '^$$' .
 
-# Record the perf baseline consumed by future PRs. BENCH_engine.json is
-# the current baseline (E-series + engine cold/warm cache);
-# BENCH_parallel.json is the pre-cache historical baseline kept for the
-# perf trajectory.
+# Record the perf baseline consumed by future PRs: BENCH_engine.json
+# holds the E-series + engine cold/warm cache benchmarks.
 bench-json:
 	$(GO) test -bench 'BenchmarkE' -benchmem -benchtime 20x -run '^$$' . | $(GO) run ./cmd/benchjson -out BENCH_engine.json
 

@@ -334,7 +334,7 @@ func BenchmarkE16Sketch(b *testing.B) {
 // end-to-end cost of regenerating EXPERIMENTS.md in -quick mode.
 func BenchmarkFullQuickSuite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.RunAll(io.Discard, harness.Config{Quick: true, Seed: 1}); err != nil {
+		if _, err := harness.NewEngine().Stream(context.Background(), io.Discard, report.Markdown{}, report.Meta{}, harness.Config{Quick: true, Seed: 1}, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -426,11 +426,10 @@ func BenchmarkSweepGridUncached(b *testing.B) {
 
 // --- Bitplane benchmarks (BENCH_bitplane.json baseline) ---------------
 //
-// The Bitplane* group measures the word-packed 1-bit broadcast plane
-// against the generic Message path it replaces on the BCC(1) hot
-// protocols: the flood-b1×two-cycle@1024 sweep cell end to end (the
-// acceptance cell — the generic variant is the same simulation forced
-// down the Message oracle), a plane-riding O(log n) protocol at
+// The Bitplane* group measures the runner's word plane against the
+// per-port reference loop: the flood-b1×two-cycle@1024 sweep cell end
+// to end (the acceptance cell — the Generic variant is the same
+// simulation forced down the reference loop), a plane-riding O(log n) protocol at
 // n = 4096, the steady-state round loop's allocation profile, and a
 // small uncached flood ladder through RunGrid's descending-n dispatch.
 
@@ -472,8 +471,8 @@ func BenchmarkBitplaneFloodTwoCycle1024(b *testing.B) {
 }
 
 // BenchmarkBitplaneFloodTwoCycle1024Generic is the same simulation
-// forced down the generic Message path — the boruvka-era baseline the
-// bit plane is measured against. (It runs the bare simulator without
+// forced down the per-port reference loop — the baseline the word
+// plane is measured against. (It runs the bare simulator without
 // the adapter's ground-truth pass, which only flatters the oracle.)
 func BenchmarkBitplaneFloodTwoCycle1024Generic(b *testing.B) {
 	_, g := bitplaneFloodCell(b)
@@ -493,7 +492,7 @@ func BenchmarkBitplaneFloodTwoCycle1024Generic(b *testing.B) {
 			b.Fatal(err)
 		}
 		if res.BitPlane || res.Verdict != bcc.VerdictNo {
-			b.Fatal("oracle run must stay generic and reject the two-cycle")
+			b.Fatal("oracle run must take the reference loop and reject the two-cycle")
 		}
 		bcc.Recycle(res)
 	}
@@ -561,11 +560,11 @@ func (p *bitLoopProbe) NewNode(bcc.View, *bcc.Coin) bcc.Node {
 
 type bitLoopNode struct{}
 
-func (bitLoopNode) Send(int) bcc.Message                { return bcc.Bit(1) }
-func (bitLoopNode) Receive(int, []bcc.Message)          {}
-func (bitLoopNode) BindPlane(int, []int) bool           { return true }
-func (bitLoopNode) SendBit(int) (uint8, bool)           { return 1, true }
-func (bitLoopNode) ReceiveBits(int, []uint64, []uint64) {}
+func (bitLoopNode) Send(int) bcc.Message                    { return bcc.Bit(1) }
+func (bitLoopNode) Receive(int, []bcc.Message)              {}
+func (bitLoopNode) BindPlane(int, []int) bool               { return true }
+func (bitLoopNode) SendWord(int) (uint64, bool)             { return 1, true }
+func (bitLoopNode) ReceivePlanes(int, [][]uint64, []uint64) {}
 
 // BenchmarkBitplaneRoundLoop512x4096 measures 4096 steady-state rounds
 // at n = 512 with node construction amortized away: the reported

@@ -69,12 +69,9 @@ func lifecycleServer(t *testing.T, cfg serverConfig) (*httptest.Server, *engine.
 	eng := engine.New([]engine.Spec{slow, fast}, engine.WithStore(store), engine.WithGrids(cancelGrid))
 	srv := newServer(eng, cfg)
 	ts := httptest.NewServer(srv.routes())
-	t.Cleanup(func() {
-		// Unblock any straggling SLOW runs so goroutines exit before the
-		// engine's store tempdir is removed.
-		srv.cancelJobs()
-		ts.Close()
-	})
+	// Unblock any straggling SLOW runs so goroutines exit before the
+	// engine's store tempdir is removed.
+	t.Cleanup(func() { stopServer(srv, ts) })
 	return ts, eng, srv, gate
 }
 
@@ -169,7 +166,7 @@ func TestClientDisconnectCancelsSweep(t *testing.T) {
 	parallel.SetLimit(4)
 	defer parallel.SetLimit(oldLimit)
 
-	ts, eng, _, _ := lifecycleServer(t, defaultServerConfig())
+	ts, eng, srv, _ := lifecycleServer(t, defaultServerConfig())
 
 	reqCtx, hangUp := context.WithCancel(context.Background())
 	defer hangUp()
@@ -197,8 +194,13 @@ func TestClientDisconnectCancelsSweep(t *testing.T) {
 		t.Fatal("request did not return after client disconnect")
 	}
 
-	// Every parked cell's context must have fired (the request returned,
-	// which requires the pool to unwind), and no further cells may start.
+	// The client's Do returns as soon as it hangs up; the server notices
+	// the disconnect on its own schedule. Its handler holds an admission
+	// slot until RunGrid returns, which requires the cell pool to unwind
+	// — every parked cell's context fired — so wait for the slot.
+	waitFor(t, 5*time.Second, func() bool { return srv.queue.Depth() == 0 },
+		"sweep handler did not unwind after client disconnect")
+	// No further cells may start.
 	after := eng.CellExecutions()
 	if after >= 256 {
 		t.Fatalf("engine executed %d cells despite cancellation with 4 workers", after)

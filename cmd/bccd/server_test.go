@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -23,9 +24,19 @@ func testServer(t *testing.T) (*httptest.Server, *engine.Engine) {
 		t.Fatal(err)
 	}
 	eng := harness.NewEngine(engine.WithStore(store))
-	ts := httptest.NewServer(newServer(eng, defaultServerConfig()).routes())
-	t.Cleanup(ts.Close)
+	srv := newServer(eng, defaultServerConfig())
+	ts := httptest.NewServer(srv.routes())
+	t.Cleanup(func() { stopServer(srv, ts) })
 	return ts, eng
+}
+
+// stopServer cancels the server's background jobs, waits for them to
+// unwind — a job may still be writing its result to the store's temp
+// dir, which the test's cleanup removes next — and closes the listener.
+func stopServer(srv *server, ts *httptest.Server) {
+	srv.cancelJobs()
+	srv.eng.WaitJobs(context.Background())
+	ts.Close()
 }
 
 func getJSON(t *testing.T, url string, out interface{}) int {

@@ -322,13 +322,14 @@ func runSweep(ctx context.Context, in *bcc.Instance, algo bcc.Algorithm, want bc
 	return out[0], hits.Load() > 0, nil
 }
 
-// pathName names the simulator path a run took: the word-packed 1-bit
-// broadcast plane, or the generic per-message loop.
+// pathName names the simulator path a run took: the word plane (b
+// bitsets per round, delivered by aliasing) or the per-port reference
+// loop.
 func pathName(bitPlane bool) string {
 	if bitPlane {
-		return "bit plane (word-packed 1-bit broadcasts)"
+		return "word plane (b-bit broadcasts packed into bitsets)"
 	}
-	return "generic (per-message delivery)"
+	return "reference (per-port Message delivery)"
 }
 
 func buildGraph(kind string, n int, rng *rand.Rand) (*graph.Graph, error) {

@@ -53,6 +53,10 @@ func (a *Boruvka) Bandwidth() int { return 3*a.IDBits + 1 }
 // Rounds implements bcc.Algorithm: components at least halve per phase.
 func (a *Boruvka) Rounds(n int) int { return bitsFor(n) + 1 }
 
+// BitPlane implements bcc.BitAlgorithm: every non-broken vertex
+// broadcasts a full (3·IDBits+1)-bit word every round.
+func (a *Boruvka) BitPlane() bool { return true }
+
 // boruvkaRunPool recycles the run-shared mirrors (and their node/label
 // arenas) across the thousands of runs of a sweep grid.
 var boruvkaRunPool = sync.Pool{New: func() interface{} { return new(boruvkaRun) }}
@@ -107,6 +111,7 @@ type boruvkaRun struct {
 	comp       *dsu.Compact
 	labels     []int32
 	labelDirty bool
+	words      []uint64 // plane decode scratch, sized on first use
 	// appliedRound gates the once-per-round apply: the first replica to
 	// receive round t wins the CAS t-1 → t and replays the round's
 	// merges; the rest return without touching shared state.
@@ -224,13 +229,12 @@ type boruvkaNode struct {
 	broken     bool
 }
 
-func (n *boruvkaNode) Send(int) bcc.Message {
-	if n.broken {
-		return bcc.Silence
-	}
+// word computes this round's broadcast: the component label, plus the
+// validity flag and the edge to the smallest-labelled foreign component
+// when one exists.
+func (n *boruvkaNode) word() uint64 {
 	r := n.run
 	myLabel := r.labels[n.self]
-	// Pick the incident edge to the smallest-labelled foreign component.
 	out := int32(-1)
 	for _, u := range n.neighbours {
 		if r.labels[u] == myLabel {
@@ -248,7 +252,14 @@ func (n *boruvkaNode) Send(int) bcc.Message {
 		bits |= uint64(r.ix.id(int(out))) << (2 * w)
 	}
 	n.lastSent = bits
-	return bcc.Word(bits, 3*r.IDBits+1)
+	return bits
+}
+
+func (n *boruvkaNode) Send(int) bcc.Message {
+	if n.broken {
+		return bcc.Silence
+	}
+	return bcc.Word(n.word(), n.run.Bandwidth())
 }
 
 func (n *boruvkaNode) Receive(t int, inbox []bcc.Message) {
@@ -267,17 +278,37 @@ func (n *boruvkaNode) Receive(t int, inbox []bcc.Message) {
 	n.run.endApply()
 }
 
-// ReceiveSends implements bcc.SendsReceiver: the raw broadcast vector
-// includes every vertex's own entry, so the winning replica replays it
-// verbatim.
-func (n *boruvkaNode) ReceiveSends(t int, sends []bcc.Message) {
-	if n.broken || !n.run.beginApply(t) {
+// BindPlane implements bcc.BitNode: the broadcast words carry IDs, so
+// any plane wiring is accepted.
+func (n *boruvkaNode) BindPlane(int, []int) bool { return true }
+
+// SendWord implements bcc.BitNode: the same word Send broadcasts.
+func (n *boruvkaNode) SendWord(int) (uint64, bool) {
+	if n.broken {
+		return 0, false
+	}
+	return n.word(), true
+}
+
+// ReceivePlanes implements bcc.BitNode: the winning replica decodes
+// every speaker's word from the planes — its own included — and replays
+// them all. Silent vertices decode as 0, whose clear validity flag
+// makes the replay a no-op, exactly as a ⊥ inbox slot is.
+func (n *boruvkaNode) ReceivePlanes(t int, planes [][]uint64, _ []uint64) {
+	r := n.run
+	if n.broken || !r.beginApply(t) {
 		return
 	}
-	for _, m := range sends {
-		n.run.apply(m.Bits)
+	if nn := r.ix.n(); cap(r.words) < nn {
+		r.words = make([]uint64, nn)
+	} else {
+		r.words = r.words[:nn]
 	}
-	n.run.endApply()
+	bcc.GatherWords(r.words, planes)
+	for _, w := range r.words {
+		r.apply(w)
+	}
+	r.endApply()
 }
 
 // Decide implements bcc.Decider.
@@ -302,11 +333,11 @@ func (n *boruvkaNode) Label() int {
 }
 
 var (
-	_ bcc.Algorithm     = (*Boruvka)(nil)
-	_ bcc.RunBinder     = (*Boruvka)(nil)
-	_ bcc.Algorithm     = (*boruvkaRun)(nil)
-	_ bcc.RunReleaser   = (*boruvkaRun)(nil)
-	_ bcc.Decider       = (*boruvkaNode)(nil)
-	_ bcc.Labeler       = (*boruvkaNode)(nil)
-	_ bcc.SendsReceiver = (*boruvkaNode)(nil)
+	_ bcc.Algorithm    = (*Boruvka)(nil)
+	_ bcc.RunBinder    = (*Boruvka)(nil)
+	_ bcc.BitAlgorithm = (*boruvkaRun)(nil)
+	_ bcc.RunReleaser  = (*boruvkaRun)(nil)
+	_ bcc.Decider      = (*boruvkaNode)(nil)
+	_ bcc.Labeler      = (*boruvkaNode)(nil)
+	_ bcc.BitNode      = (*boruvkaNode)(nil)
 )

@@ -16,8 +16,8 @@ import (
 // entire input graph. Θ(n/b) rounds: the curve the O(log n) algorithms
 // are measured against in experiment E12.
 //
-// At b = 1 flood is the bit plane's flagship rider: the row lives in a
-// bitset, SendBit is one shift, and ReceiveBits consumes 64 adjacency
+// At b = 1 flood is the word plane's flagship rider: the row lives in a
+// bitset, SendWord is one shift, and ReceivePlanes consumes 64 adjacency
 // claims per word by trailing-zero iteration straight into the
 // incremental union-find.
 //
@@ -248,9 +248,8 @@ func (a *Flood) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 		node.rowBits[pos>>6] |= 1 << uint(pos&63)
 		node.comp.Union(int(node.self), nbr)
 	}
-	// The generic Message path needs per-port speaker ranks and bit
-	// counters; they are built lazily from the view on first Receive (a
-	// plane-bound node never materializes them).
+	// Per-port delivery needs per-port speaker ranks and bit counters;
+	// they are built lazily from the view on first Receive.
 	node.view = view
 	return node
 }
@@ -266,7 +265,7 @@ func rowTarget(speaker, pos int) int {
 }
 
 // floodNode is one replica: rank, own adjacency row, and — in private
-// mode only — its own union-find and per-port generic-path state.
+// mode only — its own union-find and per-port reference-path state.
 type floodNode struct {
 	run     *floodRun // non-nil → run-shared mode
 	b       int
@@ -277,7 +276,7 @@ type floodNode struct {
 	// Private-mode state.
 	ix       *indexer
 	comp     *dsu.Compact // union of every adjacency claim heard (plus our own)
-	view     bcc.View     // lazy port→rank source for the generic path
+	view     bcc.View     // lazy port→rank source for the reference path
 	portRank []int32
 	got      []int32 // got[p] = adjacency-row bits received on port p so far
 	broken   bool
@@ -383,42 +382,21 @@ func (n *floodNode) applyClaims(speaker int, m bcc.Message, base int) {
 	}
 }
 
-// ReceiveSends implements bcc.SendsReceiver: the vertex-indexed
-// broadcast vector carries every speaker's segment — own entry included
-// — so the winning replica transcribes it verbatim.
-func (n *floodNode) ReceiveSends(t int, sends []bcc.Message) {
-	r := n.run
-	if n.broken || r == nil {
-		return
-	}
-	base := (t - 1) * n.b
-	if base >= r.rowLen || !r.beginApply(t) {
-		return
-	}
-	for u, m := range sends {
-		if m.Len == 0 {
-			continue
-		}
-		n.applyClaims(int(r.vertexRank[u]), m, base)
-	}
-}
-
-// BindPlane implements bcc.BitNode. Flood's receive logic is
-// rank-indexed, so it accepts only the canonical plane, where plane
-// indices coincide with sorted-ID ranks; a materialized wiring sends
-// the run down the generic path.
+// BindPlane implements bcc.BitNode. The shared partition is
+// rank-indexed, so a shared node accepts only the canonical plane,
+// where plane indices coincide with sorted-ID ranks; a materialized
+// wiring — or a private node (the runner always binds flood, so only
+// hand-driven bare nodes are private) — sends the run down the
+// reference path.
 func (n *floodNode) BindPlane(self int, portTarget []int) bool {
 	if n.broken {
 		return true // inert: never speaks, ignores every round
 	}
-	if portTarget != nil || self != int(n.self) {
-		return false
-	}
-	return true
+	return n.run != nil && portTarget == nil && self == int(n.self)
 }
 
-// SendBit implements bcc.BitNode: bit pos = round−1 of the row.
-func (n *floodNode) SendBit(round int) (uint8, bool) {
+// SendWord implements bcc.BitNode: bit pos = round−1 of the row.
+func (n *floodNode) SendWord(round int) (uint64, bool) {
 	if n.broken {
 		return 0, false
 	}
@@ -426,47 +404,26 @@ func (n *floodNode) SendBit(round int) (uint8, bool) {
 	if pos >= int(n.rowLen) {
 		return 0, false
 	}
-	return uint8(n.rowBit(pos)), true
+	return n.rowBit(pos), true
 }
 
-// ReceiveBits implements bcc.BitNode: 64 adjacency claims per word.
+// ReceivePlanes implements bcc.BitNode: 64 adjacency claims per word.
 // Every non-broken flood node follows the same schedule — it speaks in
 // exactly rounds 1..n−1 — so in round t every set value bit is a claim
-// at row position t−1 (the generic path's per-port got counters all
-// read t−1 here; the equivalence suite pins this). In shared mode the
-// winning replica transcribes the whole word array, own bit included;
-// a private replica masks its own bit out — those claims were unioned
-// at construction.
-func (n *floodNode) ReceiveBits(round int, value, _ []uint64) {
-	if n.broken {
-		return
-	}
+// at row position t−1 (the reference path's per-port got counters all
+// read t−1 here; the equivalence suite pins this). The winning replica
+// transcribes the whole word array, own bit included.
+func (n *floodNode) ReceivePlanes(round int, planes [][]uint64, _ []uint64) {
+	r := n.run
 	pos := round - 1
-	if pos >= int(n.rowLen) {
+	if n.broken || pos >= int(n.rowLen) || !r.beginApply(round) {
 		return
 	}
-	if r := n.run; r != nil {
-		if !r.beginApply(round) {
-			return
-		}
-		for wi, w := range value {
-			for w != 0 {
-				u := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				r.comp.Union(u, rowTarget(u, pos))
-			}
-		}
-		return
-	}
-	selfW, selfM := int(n.self)>>6, uint64(1)<<uint(int(n.self)&63)
-	for wi, w := range value {
-		if wi == selfW {
-			w &^= selfM
-		}
+	for wi, w := range planes[0] {
 		for w != 0 {
 			u := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			n.comp.Union(u, rowTarget(u, pos))
+			r.comp.Union(u, rowTarget(u, pos))
 		}
 	}
 }
@@ -539,13 +496,12 @@ func (n *floodNode) Label() int {
 }
 
 var (
-	_ bcc.Algorithm     = (*Flood)(nil)
-	_ bcc.BitAlgorithm  = (*Flood)(nil)
-	_ bcc.RunBinder     = (*Flood)(nil)
-	_ bcc.BitAlgorithm  = (*floodRun)(nil)
-	_ bcc.RunReleaser   = (*floodRun)(nil)
-	_ bcc.Decider       = (*floodNode)(nil)
-	_ bcc.Labeler       = (*floodNode)(nil)
-	_ bcc.BitNode       = (*floodNode)(nil)
-	_ bcc.SendsReceiver = (*floodNode)(nil)
+	_ bcc.Algorithm    = (*Flood)(nil)
+	_ bcc.BitAlgorithm = (*Flood)(nil)
+	_ bcc.RunBinder    = (*Flood)(nil)
+	_ bcc.BitAlgorithm = (*floodRun)(nil)
+	_ bcc.RunReleaser  = (*floodRun)(nil)
+	_ bcc.Decider      = (*floodNode)(nil)
+	_ bcc.Labeler      = (*floodNode)(nil)
+	_ bcc.BitNode      = (*floodNode)(nil)
 )

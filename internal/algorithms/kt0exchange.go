@@ -66,9 +66,8 @@ func (a *KT0Exchange) Bandwidth() int { return 1 }
 func (a *KT0Exchange) Rounds(int) int { return (a.MaxDegree + 1) * a.IDBits }
 
 // BitPlane implements bcc.BitAlgorithm: the algorithm is BCC(1) in
-// every configuration. Unlike the rank-space KT-1 nodes, kt0Node is
-// port-addressed, so it accepts any wiring by inverting the runner's
-// port→plane table once at binding time.
+// every configuration. Unlike the rank-space KT-1 nodes, the run-shared
+// mirror is vertex-indexed, so the plane accepts any wiring.
 func (a *KT0Exchange) BitPlane() bool { return true }
 
 // kt0RunPool recycles the run-shared stream tables and node arenas.
@@ -291,16 +290,9 @@ type kt0Node struct {
 	rounds     int      // private mode
 	self       int32    // shared mode: vertex index
 	nbrOfSlot  []int32  // shared mode: vertex behind the s-th input port
-	// Bit-plane state: planeSelf is our plane index; planePort[u] is
-	// the port behind plane index u (−1 for self), or nil under the
-	// canonical wiring, where port p of self is plane index p (p <
-	// self) or p+1. Shared mode needs neither: the mirror is
-	// vertex-indexed.
-	planeSelf int
-	planePort []int32
-	outDone   bool
-	out       componentOutputs
-	broken    bool
+	outDone    bool
+	out        componentOutputs
+	broken     bool
 }
 
 // heardID returns the phase-1 announcement of the vertex behind input
@@ -381,106 +373,36 @@ func (n *kt0Node) Receive(round int, inbox []bcc.Message) {
 	}
 }
 
-// ReceiveSends implements bcc.SendsReceiver: the raw broadcast vector
-// is vertex-indexed with our own entry present, which is exactly the
-// shared mirror's layout — the winning replica transcribes it verbatim.
-func (n *kt0Node) ReceiveSends(round int, sends []bcc.Message) {
-	r := n.run
-	if n.broken || r == nil || !r.beginApply(round) {
-		return
-	}
-	r.rounds = round
-	for u, m := range sends {
-		if m.Len != 0 {
-			r.accumulate(u, m.BitAt(0), round)
-		}
-	}
-}
+// BindPlane implements bcc.BitNode. A shared node's mirror is
+// vertex-indexed, so any wiring is accepted; a private node keeps
+// per-port streams and declines (the runner always binds kt0-exchange,
+// so only hand-driven bare nodes are private).
+func (n *kt0Node) BindPlane(int, []int) bool { return n.broken || n.run != nil }
 
-// BindPlane implements bcc.BitNode: any wiring is accepted. Private
-// nodes invert the port→plane table into planePort so each incoming bit
-// is routed to the per-port stream the generic path would have filled;
-// shared nodes route by vertex index and need no table.
-func (n *kt0Node) BindPlane(self int, portTarget []int) bool {
-	if n.broken {
-		return true // inert
-	}
-	n.planeSelf = self
-	if n.run != nil || portTarget == nil {
-		n.planePort = nil
-		return true
-	}
-	pp := make([]int32, len(portTarget)+1)
-	for i := range pp {
-		pp[i] = -1
-	}
-	for p, u := range portTarget {
-		pp[u] = int32(p)
-	}
-	n.planePort = pp
-	return true
-}
-
-// portOfPlane maps a plane index to the port behind it (private mode).
-func (n *kt0Node) portOfPlane(u int) int {
-	if n.planePort != nil {
-		return int(n.planePort[u])
-	}
-	if u > n.planeSelf {
-		return u - 1
-	}
-	return u
-}
-
-// SendBit implements bcc.BitNode: the same two-phase schedule as Send.
-func (n *kt0Node) SendBit(round int) (uint8, bool) {
+// SendWord implements bcc.BitNode: the same two-phase schedule as Send.
+func (n *kt0Node) SendWord(round int) (uint64, bool) {
 	if n.broken {
 		return 0, false
 	}
-	return n.sendBit(round)
+	bit, speak := n.sendBit(round)
+	return uint64(bit), speak
 }
 
-// ReceiveBits implements bcc.BitNode: only set value bits matter (the
-// generic path ORs zeros in as no-ops). In shared mode the winning
-// replica transcribes every set bit — its own included, since uid[self]
-// is part of the mirror — into the vertex-indexed tables; private nodes
-// route each foreign bit through planePort to their per-port stream.
-func (n *kt0Node) ReceiveBits(round int, value, _ []uint64) {
-	if n.broken {
+// ReceivePlanes implements bcc.BitNode: only set value bits matter (the
+// reference path ORs zeros in as no-ops), so the winning replica
+// transcribes every set bit — its own included, since uid[self] is part
+// of the mirror — into the vertex-indexed tables.
+func (n *kt0Node) ReceivePlanes(round int, planes [][]uint64, _ []uint64) {
+	r := n.run
+	if n.broken || !r.beginApply(round) {
 		return
 	}
-	if r := n.run; r != nil {
-		if !r.beginApply(round) {
-			return
-		}
-		r.rounds = round
-		for wi, w := range value {
-			for w != 0 {
-				u := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				r.accumulate(u, 1, round)
-			}
-		}
-		return
-	}
-	n.rounds = round
-	var shift uint
-	dest := n.phase2
-	if round <= n.idBits {
-		shift = uint(round - 1)
-		dest = n.portID
-	} else {
-		shift = uint(round - n.idBits - 1)
-	}
-	selfW, selfM := n.planeSelf>>6, uint64(1)<<uint(n.planeSelf&63)
-	for wi, w := range value {
-		if wi == selfW {
-			w &^= selfM
-		}
+	r.rounds = round
+	for wi, w := range planes[0] {
 		for w != 0 {
 			u := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			dest[n.portOfPlane(u)] |= 1 << shift
+			r.accumulate(u, 1, round)
 		}
 	}
 }
@@ -589,13 +511,12 @@ func (n *kt0Node) Decide() bcc.Verdict { return n.outputs().verdict }
 func (n *kt0Node) Label() int { return n.outputs().label }
 
 var (
-	_ bcc.Algorithm     = (*KT0Exchange)(nil)
-	_ bcc.BitAlgorithm  = (*KT0Exchange)(nil)
-	_ bcc.RunBinder     = (*KT0Exchange)(nil)
-	_ bcc.BitAlgorithm  = (*kt0Run)(nil)
-	_ bcc.RunReleaser   = (*kt0Run)(nil)
-	_ bcc.Decider       = (*kt0Node)(nil)
-	_ bcc.Labeler       = (*kt0Node)(nil)
-	_ bcc.BitNode       = (*kt0Node)(nil)
-	_ bcc.SendsReceiver = (*kt0Node)(nil)
+	_ bcc.Algorithm    = (*KT0Exchange)(nil)
+	_ bcc.BitAlgorithm = (*KT0Exchange)(nil)
+	_ bcc.RunBinder    = (*KT0Exchange)(nil)
+	_ bcc.BitAlgorithm = (*kt0Run)(nil)
+	_ bcc.RunReleaser  = (*kt0Run)(nil)
+	_ bcc.Decider      = (*kt0Node)(nil)
+	_ bcc.Labeler      = (*kt0Node)(nil)
+	_ bcc.BitNode      = (*kt0Node)(nil)
 )

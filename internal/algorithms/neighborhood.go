@@ -120,8 +120,8 @@ func (n *nbNode) BindPlane(self int, portTarget []int) bool {
 	return portTarget == nil && self == n.self
 }
 
-// SendBit implements bcc.BitNode: the same slot/bit schedule as Send.
-func (n *nbNode) SendBit(round int) (uint8, bool) {
+// SendWord implements bcc.BitNode: the same slot/bit schedule as Send.
+func (n *nbNode) SendWord(round int) (uint64, bool) {
 	if n.broken {
 		return 0, false
 	}
@@ -129,21 +129,21 @@ func (n *nbNode) SendBit(round int) (uint8, bool) {
 	if slot >= len(n.slots) {
 		return 0, false
 	}
-	return uint8(n.slots[slot]>>uint((round-1)%n.idxBits)) & 1, true
+	return uint64(n.slots[slot]>>uint((round-1)%n.idxBits)) & 1, true
 }
 
-// ReceiveBits implements bcc.BitNode: only set value bits matter (the
-// generic path ORs silent and zero bits in as zeros), so the round is
+// ReceivePlanes implements bcc.BitNode: only set value bits matter (the
+// reference path ORs silent and zero bits in as zeros), so the round is
 // consumed by trailing-zero iteration. Our own bit is skipped — the
-// rank-check form of the generic path's self-free inbox.
-func (n *nbNode) ReceiveBits(round int, value, _ []uint64) {
+// rank-check form of the reference path's self-free inbox.
+func (n *nbNode) ReceivePlanes(round int, planes [][]uint64, _ []uint64) {
 	if n.broken {
 		return
 	}
 	n.rounds = round
 	shift := uint(round - 1)
 	selfW, selfM := n.self>>6, uint64(1)<<uint(n.self&63)
-	for wi, w := range value {
+	for wi, w := range planes[0] {
 		if wi == selfW {
 			w &^= selfM
 		}

@@ -12,7 +12,7 @@
 //     unreported probe starves the rolling error window, and in the
 //     half-open state it wedges the breaker: the lone trial slot never
 //     reports, so the breaker can never close again;
-//   - a bcc pool acquisition (getRunBuffers/getBitBuffers/takeInts)
+//   - a bcc pool acquisition (getRunBuffers/takeInts)
 //     must flow back through its put/recycle or escape into an owner
 //     that recycles later.
 //
@@ -72,7 +72,6 @@ var pairs = []pairSpec{
 	{pkg: "serving", recv: "Queue", fn: "Acquire", result: 0, resource: "queue slot", selfCall: true},
 	{pkg: "results", recv: "Health", fn: "Allow", result: 0, resource: "breaker probe", methods: []string{"Done"}},
 	{pkg: "bcc", fn: "getRunBuffers", result: 0, resource: "pooled run buffers", funcs: []string{"putRunBuffers"}},
-	{pkg: "bcc", fn: "getBitBuffers", result: 0, resource: "pooled bit-plane buffers", funcs: []string{"putBitBuffers"}},
 	{pkg: "bcc", fn: "takeInts", result: 0, resource: "pooled []int", funcs: []string{"recycleInts"}},
 }
 

@@ -1,49 +1,55 @@
 package bcc
 
 import (
-	"fmt"
+	"context"
 	"math/bits"
 	"sync"
 )
 
-// The bit plane is the runner's word-packed fast path for the model's
-// native regime, BCC(1): every round is one trit per vertex ({0, 1, ⊥}),
-// so a whole round fits in two n-bit bitsets —
+// The word plane is the runner's production path for BCC(b). A round of
+// an algorithm whose vertices broadcast exactly b bits or stay silent
+// (⊥) is b+1 n-bit bitsets —
 //
-//	value[v>>6] bit v&63 — the bit vertex v broadcast (0 if silent)
-//	spoke[v>>6] bit v&63 — whether vertex v broadcast at all
+//	planes[i][v>>6] bit v&63 — bit i of vertex v's broadcast (0 if silent)
+//	spoke[v>>6]     bit v&63 — whether vertex v broadcast at all
 //
 // Delivery is aliasing: a broadcast is the same for every listener, so
-// all n receivers read the *same* two word arrays instead of n
-// permuted (n−1)-slot Message inboxes. Self-exclusion, which the
-// generic path implements by omitting the receiver from its inbox,
-// becomes a rank check inside the node. The per-round cost RoundBits[t]
-// is a popcount over the spoke mask, and transcript mode packs the
-// round's trits as 2-bit codes into one flat arena from which
-// TritString / TranscriptKey are derived directly.
+// all n receivers read the *same* word arrays instead of n permuted
+// (n−1)-slot Message inboxes. Self-exclusion, which the reference path
+// implements by omitting the receiver from its inbox, becomes a rank
+// check inside the node. The per-round cost RoundBits[t] is
+// b·popcount(spoke).
 //
-// The generic Message path remains authoritative: it serves every
-// multi-bit algorithm, every WithReceivedTranscripts run, and acts as
-// the equivalence oracle the bit plane is pinned against byte for byte
-// (see bitplane_test.go and the protocol-level equivalence suite).
+// Every plane run goes through a shardGroup: run-bound algorithms at
+// large n split each phase over helper goroutines; everything else gets
+// a group with no helpers that drains its shards on the caller.
+//
+// The per-port reference loop (runner.go) remains authoritative: it
+// serves algorithms without plane support, nodes that decline their
+// binding, and WithoutBitPlane runs, and it is the equivalence oracle
+// the plane is pinned against byte for byte (see bitplane_test.go, the
+// protocol-level suite, and internal/equiv).
 
 // BitAlgorithm is implemented by algorithms whose nodes can run on the
-// bit plane. The runner takes the fast path only when BitPlane()
-// reports true, the declared bandwidth is 1, no received transcripts
-// were requested, and every node accepts its plane binding; otherwise
-// the run falls back to the generic path with identical results.
+// word plane. The runner takes the plane only when BitPlane() reports
+// true, WithoutBitPlane was not given, and every node accepts its plane
+// binding; otherwise the run takes the reference path with identical
+// results. A run-bound algorithm (RunBinder) rides the plane when the
+// bound algorithm implements BitAlgorithm.
 type BitAlgorithm interface {
 	Algorithm
-	// BitPlane reports whether this configuration of the algorithm is
-	// 1-bit and its nodes implement BitNode (e.g. Flood declines for
-	// B > 1).
+	// BitPlane reports whether this configuration broadcasts exactly
+	// Bandwidth() bits or ⊥ in every round and its nodes implement
+	// BitNode (Flood declines for B > 1: its last row segment is
+	// shorter than B).
 	BitPlane() bool
 }
 
 // BitNode is the word-parallel counterpart of Node. The runner calls
-// BindPlane once before round 1, then SendBit/ReceiveBits instead of
-// Send/Receive. Nodes must keep both interfaces consistent: the
-// equivalence suite pins SendBit against Send trit by trit.
+// BindPlane once before round 1, then SendWord/ReceivePlanes instead of
+// Send/Receive. Nodes must keep both interfaces consistent: SendWord's
+// broadcast is recorded as the Message Word(bits, b) (or Silence), and
+// the equivalence suite pins that against Send round by round.
 type BitNode interface {
 	// BindPlane hands the node its simulation bookkeeping: self is the
 	// node's plane index (= vertex index), and portTarget[p] is the
@@ -53,277 +59,173 @@ type BitNode interface {
 	// ranks. The slice aliases runner-owned wiring; treat it as
 	// read-only. Returning false declines the binding (e.g. a
 	// rank-space node handed a non-canonical plane) and sends the whole
-	// run down the generic path.
+	// run down the reference path.
 	BindPlane(self int, portTarget []int) bool
-	// SendBit is Send for the plane: the broadcast bit and whether the
-	// node speaks at all this round (false is the paper's ⊥).
-	SendBit(round int) (bit uint8, speak bool)
-	// ReceiveBits delivers the round: value and spoke are the shared
-	// planes described above, aliased by every listener and reused
-	// between rounds — nodes must not retain or mutate them. The
-	// node's own bit is present; excluding it is the node's rank check.
-	ReceiveBits(round int, value, spoke []uint64)
+	// SendWord is Send for the plane: the broadcast's b bits (LSB
+	// first; higher bits are ignored) and whether the node speaks at
+	// all this round (false is the paper's ⊥).
+	SendWord(round int) (bits uint64, speak bool)
+	// ReceivePlanes delivers the round: planes (one per message bit)
+	// and spoke are the shared bitsets described above, aliased by
+	// every listener and reused between rounds — nodes must not retain
+	// or mutate them. The node's own broadcast is present; excluding it
+	// is the node's rank check. GatherWords decodes whole words.
+	ReceivePlanes(round int, planes [][]uint64, spoke []uint64)
 }
 
-// bitBuffers is the pooled pair of word arenas serving one run's
-// rounds. Like runBuffers, the pool is shared across the worker
-// goroutines of a sweep grid, so the steady-state round loop is
-// allocation-free once the pool has warmed up for a given n.
-type bitBuffers struct {
-	value []uint64
-	spoke []uint64
-}
-
-var bitBufferPool = sync.Pool{New: func() interface{} { return &bitBuffers{} }}
-
-func getBitBuffers(words int) *bitBuffers {
-	buf := bitBufferPool.Get().(*bitBuffers)
-	if cap(buf.value) < words {
-		buf.value = make([]uint64, words)
-		buf.spoke = make([]uint64, words)
+// GatherWords transposes a round's planes back into per-vertex words:
+// dst[v] receives bit i of vertex v's broadcast from planes[i]. Silent
+// vertices decode as 0 — consult spoke to tell ⊥ from an all-zero
+// broadcast. dst must have one slot per vertex; the cost is one pass
+// over the planes' set bits.
+func GatherWords(dst []uint64, planes [][]uint64) {
+	clear(dst)
+	for i, plane := range planes {
+		bit := uint64(1) << uint(i)
+		for wi, w := range plane {
+			for w != 0 {
+				dst[wi<<6+bits.TrailingZeros64(w)] |= bit
+				w &= w - 1
+			}
+		}
 	}
-	buf.value = buf.value[:words]
-	buf.spoke = buf.spoke[:words]
-	return buf
 }
 
-func putBitBuffers(buf *bitBuffers) { bitBufferPool.Put(buf) }
-
-// tritPlane is the packed transcript of a bit-plane run: one flat arena
-// of 2-bit trit codes (tritZero/tritOne/tritSilent — the same codes
-// TranscriptKey uses), vertex-major: the code of (v, round t) sits at
-// 2-bit slot v*rounds + t−1.
-type tritPlane struct {
-	codes  []uint64
+// planeRun is one plane run's state: the plane arena, the bound node
+// table, the shard group, and the two phase closures. It is pooled
+// across runs (and across the worker goroutines of a sweep grid), and
+// the closures are built once per pooled object, so a warm run's round
+// loop allocates nothing.
+type planeRun struct {
+	sg     shardGroup
+	nodes  []BitNode
+	arena  []uint64 // spoke followed by the b planes, words each
+	planes [][]uint64
+	spoke  []uint64
+	b      int
+	mask   uint64
+	round  int
 	rounds int
+	// sent is the run's vertex-major Sent arena (nil without
+	// transcripts): vertex v's round-t broadcast lands at
+	// v*rounds + t−1, a slot no other shard writes.
+	sent []Message
+
+	sendPhase, recvPhase func(first, limit int)
 }
 
-func newTritPlane(n, rounds int) *tritPlane {
-	return &tritPlane{codes: make([]uint64, (n*rounds+31)/32), rounds: rounds}
-}
+var planeRunPool = sync.Pool{New: func() interface{} {
+	p := new(planeRun)
+	p.sendPhase = p.send
+	p.recvPhase = p.recv
+	return p
+}}
 
-func (tp *tritPlane) set(v, t int, code uint64) {
-	i := v*tp.rounds + t - 1
-	tp.codes[i>>5] |= code << uint(2*(i&31))
-}
-
-func (tp *tritPlane) code(v, t int) uint64 {
-	i := v*tp.rounds + t - 1
-	return tp.codes[i>>5] >> uint(2*(i&31)) & 3
-}
-
-// message decodes one slot back into the Message the node's Send would
-// have produced: Bit(0), Bit(1), or Silence.
-func (tp *tritPlane) message(v, t int) Message {
-	switch tp.code(v, t) {
-	case tritZero:
-		return Message{Bits: 0, Len: 1}
-	case tritOne:
-		return Message{Bits: 1, Len: 1}
-	default:
-		return Silence
+// bindPlane type-asserts every node onto the plane and binds it. Any
+// node that is not a BitNode, or declines its binding, sends the run
+// down the reference path (nil).
+func bindPlane(in *Instance, nodes []Node, b int) *planeRun {
+	p := planeRunPool.Get().(*planeRun)
+	if cap(p.nodes) < len(nodes) {
+		p.nodes = make([]BitNode, len(nodes))
 	}
-}
-
-// tritString renders vertex v's broadcast sequence over {'0','1','_'} —
-// the arena-direct counterpart of TritString(res.Transcripts[v].Sent).
-func (tp *tritPlane) tritString(v int) string {
-	b := make([]byte, tp.rounds)
-	for t := 1; t <= tp.rounds; t++ {
-		switch tp.code(v, t) {
-		case tritZero:
-			b[t-1] = '0'
-		case tritOne:
-			b[t-1] = '1'
-		default:
-			b[t-1] = '_'
-		}
-	}
-	return string(b)
-}
-
-// tritKey packs vertex v's broadcast sequence into a TranscriptKey
-// without routing through Messages. The arena's 2-bit codes are the
-// key's own trit encoding, so this is a straight repack.
-func (tp *tritPlane) tritKey(v int) (TranscriptKey, error) {
-	var k TranscriptKey
-	for t := 1; t <= tp.rounds; t++ {
-		if err := k.push(tp.code(v, t)); err != nil {
-			return TranscriptKey{}, fmt.Errorf("round %d: %w", t, err)
-		}
-	}
-	return k, nil
-}
-
-// bindBitPlane type-asserts every node onto the plane and binds it.
-// Any node that is not a BitNode, or declines its binding, sends the
-// run down the generic path.
-func bindBitPlane(in *Instance, nodes []Node) ([]BitNode, bool) {
-	bnodes := make([]BitNode, len(nodes))
+	p.nodes = p.nodes[:len(nodes)]
 	for v, node := range nodes {
 		bn, ok := node.(BitNode)
-		if !ok {
-			return nil, false
-		}
 		var portTarget []int
 		if !in.canonical {
 			portTarget = in.ports[v]
 		}
-		if !bn.BindPlane(v, portTarget) {
-			return nil, false
+		if !ok || !bn.BindPlane(v, portTarget) {
+			p.release()
+			return nil
 		}
-		bnodes[v] = bn
+		p.nodes[v] = bn
 	}
-	return bnodes, true
-}
-
-// runBitPlane is the word-parallel round loop. Contract with the
-// generic loop (pinned by the equivalence suite): identical RoundBits,
-// TotalBits, verdicts, labels, and — in transcript mode — identical
-// Sent sequences, with TritString/TranscriptKey derived from the
-// packed arena.
-func runBitPlane(res *Result, bnodes []BitNode, o options, sg *shardGroup) error {
-	n := len(bnodes)
-	rounds := res.Rounds
+	n := len(nodes)
 	words := (n + 63) / 64
-	buf := getBitBuffers(words)
-	defer putBitBuffers(buf)
-	value, spoke := buf.value, buf.spoke
+	if cap(p.arena) < (b+1)*words {
+		p.arena = make([]uint64, (b+1)*words)
+	}
+	p.arena = p.arena[:(b+1)*words]
+	p.spoke = p.arena[:words:words]
+	if cap(p.planes) < b {
+		p.planes = make([][]uint64, b)
+	}
+	p.planes = p.planes[:b]
+	for i := range p.planes {
+		p.planes[i] = p.arena[(i+1)*words : (i+2)*words : (i+2)*words]
+	}
+	p.b = b
+	p.mask = uint64(1)<<uint(b) - 1 // all ones at b = 64: the shift yields 0
+	return p
+}
 
-	var tp *tritPlane
-	if !o.noTranscripts {
-		tp = newTritPlane(n, rounds)
-	}
-	if sg != nil {
-		return runBitPlaneSharded(res, bnodes, o, sg, value, spoke, tp)
-	}
-	for t := 1; t <= rounds; t++ {
-		if err := o.ctx.Err(); err != nil {
-			recycleInts(res.RoundBits)
+// release drops the run's references to nodes and transcripts and
+// returns p to the pool.
+func (p *planeRun) release() {
+	clear(p.nodes)
+	p.sent = nil
+	planeRunPool.Put(p)
+}
+
+// run is the plane's round loop. Contract with the reference loop
+// (pinned by the equivalence suites): identical RoundBits, TotalBits,
+// verdicts, labels and Sent transcripts. sent is the Sent arena (nil
+// without transcripts); helpers opts the run into intra-cell sharding
+// over helper goroutines.
+func (p *planeRun) run(ctx context.Context, res *Result, sent []Message, helpers bool) error {
+	p.rounds = res.Rounds
+	p.sent = sent
+	p.sg.open(len(p.nodes), helpers)
+	defer p.sg.close()
+	for t := 1; t <= p.rounds; t++ {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		clear(value)
-		clear(spoke)
-		for v := 0; v < n; v++ {
-			bit, speak := bnodes[v].SendBit(t)
-			if speak {
-				w, m := v>>6, uint64(1)<<uint(v&63)
-				spoke[w] |= m
-				if bit&1 != 0 {
-					value[w] |= m
-					if tp != nil {
-						tp.set(v, t, tritOne)
-					}
-				}
-				// tritZero is code 0: the zero-initialized arena
-				// already encodes it.
-			} else if tp != nil {
-				tp.set(v, t, tritSilent)
-			}
+		p.round = t
+		p.sg.phase(p.sendPhase)
+		spoken := 0
+		for _, w := range p.spoke {
+			spoken += bits.OnesCount64(w)
 		}
-		rb := 0
-		for _, w := range spoke {
-			rb += bits.OnesCount64(w)
-		}
-		res.RoundBits[t-1] = rb
-		res.TotalBits += rb
-		for v := 0; v < n; v++ {
-			bnodes[v].ReceiveBits(t, value, spoke)
-		}
-	}
-	if tp != nil {
-		materializeTrits(res, tp, n, rounds)
+		res.RoundBits[t-1] = p.b * spoken
+		res.TotalBits += p.b * spoken
+		p.sg.phase(p.recvPhase)
 	}
 	res.BitPlane = true
 	return nil
 }
 
-// runBitPlaneSharded is the intra-cell parallel round loop: SendBit and
-// ReceiveBits run over fixed replica shards with a barrier between the
-// two phases. shardSize is a multiple of 64, so concurrent shards write
-// disjoint spoke/value words (each shard clears and fills exactly its
-// own word range). Trit transcripts are reconstructed from the planes
-// in a sequential post-pass after the send barrier: the trit arena
-// packs 16 vertices per word when rounds < 32, so shard-local writes
-// there would race.
-func runBitPlaneSharded(res *Result, bnodes []BitNode, o options, sg *shardGroup, value, spoke []uint64, tp *tritPlane) error {
-	n := len(bnodes)
-	rounds := res.Rounds
-	curRound := 0
-	sendPhase := func(_, first, limit int) error {
-		t := curRound
-		wf, wl := first>>6, (limit+63)>>6
-		clear(value[wf:wl])
-		clear(spoke[wf:wl])
-		for v := first; v < limit; v++ {
-			bit, speak := bnodes[v].SendBit(t)
-			if speak {
-				w, m := v>>6, uint64(1)<<uint(v&63)
-				spoke[w] |= m
-				if bit&1 != 0 {
-					value[w] |= m
-				}
-			}
-		}
-		return nil
+// send is the send phase over vertices [first, limit). Shard bounds are
+// multiples of 64, so concurrent shards clear and fill disjoint words.
+func (p *planeRun) send(first, limit int) {
+	t := p.round
+	wf, wl := first>>6, (limit+63)>>6
+	clear(p.spoke[wf:wl])
+	for _, plane := range p.planes {
+		clear(plane[wf:wl])
 	}
-	recvPhase := func(_, first, limit int) error {
-		t := curRound
-		for v := first; v < limit; v++ {
-			bnodes[v].ReceiveBits(t, value, spoke)
+	for v := first; v < limit; v++ {
+		word, speak := p.nodes[v].SendWord(t)
+		if !speak {
+			continue // Silence is the zero Message: the arena already holds it
 		}
-		return nil
-	}
-	for t := 1; t <= rounds; t++ {
-		if err := o.ctx.Err(); err != nil {
-			recycleInts(res.RoundBits)
-			return err
+		w, m := v>>6, uint64(1)<<uint(v&63)
+		p.spoke[w] |= m
+		word &= p.mask
+		for x := word; x != 0; x &= x - 1 {
+			p.planes[bits.TrailingZeros64(x)][w] |= m
 		}
-		curRound = t
-		if err := sg.phase(sendPhase); err != nil {
-			return err
-		}
-		if tp != nil {
-			for v := 0; v < n; v++ {
-				w, m := v>>6, uint64(1)<<uint(v&63)
-				if spoke[w]&m == 0 {
-					tp.set(v, t, tritSilent)
-				} else if value[w]&m != 0 {
-					tp.set(v, t, tritOne)
-				}
-				// tritZero is code 0: already encoded.
-			}
-		}
-		rb := 0
-		for _, w := range spoke {
-			rb += bits.OnesCount64(w)
-		}
-		res.RoundBits[t-1] = rb
-		res.TotalBits += rb
-		if err := sg.phase(recvPhase); err != nil {
-			return err
+		if p.sent != nil {
+			p.sent[v*p.rounds+t-1] = Message{Bits: word, Len: uint8(p.b)}
 		}
 	}
-	if tp != nil {
-		materializeTrits(res, tp, n, rounds)
-	}
-	res.BitPlane = true
-	return nil
 }
 
-// materializeTrits attaches the packed trit arena and rebuilds the Sent
-// sequences from it, so every transcript consumer (crossing, PLS,
-// reductions) sees the exact messages the generic path would have
-// recorded.
-func materializeTrits(res *Result, tp *tritPlane, n, rounds int) {
-	res.trits = tp
-	res.Transcripts = make([]Transcript, n)
-	sentArena := make([]Message, n*rounds)
-	for v := 0; v < n; v++ {
-		sent := sentArena[v*rounds : (v+1)*rounds : (v+1)*rounds]
-		for t := 1; t <= rounds; t++ {
-			sent[t-1] = tp.message(v, t)
-		}
-		res.Transcripts[v].Sent = sent
+// recv is the delivery phase over vertices [first, limit).
+func (p *planeRun) recv(first, limit int) {
+	for v := first; v < limit; v++ {
+		p.nodes[v].ReceivePlanes(p.round, p.planes, p.spoke)
 	}
 }

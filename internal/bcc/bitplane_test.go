@@ -10,12 +10,16 @@ import (
 	"bcclique/internal/algorithms"
 	"bcclique/internal/bcc"
 	"bcclique/internal/graph"
+	"bcclique/internal/sketch"
 )
 
-// bitPlaneAlgos builds the three bit-plane riders sized for n-vertex
-// degree-≤2 inputs. (Flood's rounds track n−1, so at n = 130 the trit
-// sequences exceed MaxKeyRounds and the key comparison is skipped by
-// compareRuns — the string comparison still covers every round.)
+// bitPlaneAlgos builds the plane riders sized for n-vertex degree-≤2
+// inputs: the three BCC(1) protocols plus the multi-bit boruvka and
+// sketch. (Flood's rounds track n−1, so at n = 130 the trit sequences
+// exceed MaxKeyRounds and the key comparison is skipped by compareRuns
+// — the string comparison still covers every round. boruvka and the
+// sketch need KT-1 views; on the KT-0 instances every node is broken
+// and silent, which both paths must agree on too.)
 func bitPlaneAlgos(t *testing.T, n int) map[string]bcc.Algorithm {
 	t.Helper()
 	idBits := 1
@@ -34,7 +38,16 @@ func bitPlaneAlgos(t *testing.T, n int) map[string]bcc.Algorithm {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]bcc.Algorithm{"flood-b1": flood, "neighborhood": nb, "kt0-exchange": kt0}
+	boruvka, err := algorithms.NewBoruvka(idBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := sketch.NewConnectivity(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]bcc.Algorithm{"flood-b1": flood, "neighborhood": nb, "kt0-exchange": kt0,
+		"boruvka": boruvka, "sketch-a1": sk}
 }
 
 // bitPlaneInstances builds the instance sample the equivalence suite
@@ -73,8 +86,8 @@ func bitPlaneInstances(t *testing.T, n int, seed int64) map[string]*bcc.Instance
 	return out
 }
 
-// compareRuns pins every observable of a bit-plane run against the
-// generic oracle run of the same (instance, algorithm, options).
+// compareRuns pins every observable of a plane run against the
+// reference oracle run of the same (instance, algorithm, options).
 func compareRuns(t *testing.T, in *bcc.Instance, algo bcc.Algorithm, opts ...bcc.Option) {
 	t.Helper()
 	fast, err := bcc.Run(in, algo, opts...)
@@ -113,6 +126,12 @@ func compareRuns(t *testing.T, in *bcc.Instance, algo bcc.Algorithm, opts ...bcc
 		if !reflect.DeepEqual(fast.Transcripts[v].Sent, oracle.Transcripts[v].Sent) {
 			t.Fatalf("vertex %d Sent sequences diverge", v)
 		}
+		if !reflect.DeepEqual(fast.Transcripts[v].Received, oracle.Transcripts[v].Received) {
+			t.Fatalf("vertex %d Received transcripts diverge", v)
+		}
+	}
+	if algo.Bandwidth() > 1 {
+		return // trit strings and keys are BCC(1)-only
 	}
 	fastTrits, err := bcc.SentTritLabels(fast)
 	if err != nil {
@@ -140,10 +159,11 @@ func compareRuns(t *testing.T, in *bcc.Instance, algo bcc.Algorithm, opts ...bcc
 	}
 }
 
-// TestBitPlaneEquivalence pins the bit-plane path byte-identical to the
-// generic Message oracle for every rider × instance × seed, in full
-// transcript mode, under WithRounds truncation and extension, and in
-// the sweeps' WithoutTranscripts mode. The sizes straddle the word
+// TestBitPlaneEquivalence pins the plane path byte-identical to the
+// reference oracle for every rider × instance × seed, in full
+// transcript mode (with and without received transcripts), under
+// WithRounds truncation and extension, and in the sweeps'
+// WithoutTranscripts mode. The sizes straddle the word
 // boundaries of the planes: n = 22 (one word), n = 70 (two words, self
 // bits landing in both), n = 130 (three words, more rounds than
 // MaxKeyRounds).
@@ -157,6 +177,7 @@ func TestBitPlaneEquivalence(t *testing.T) {
 				for algoName, algo := range bitPlaneAlgos(t, n) {
 					t.Run(fmt.Sprintf("%s/%s/n%d/seed%d", algoName, inName, n, seed), func(t *testing.T) {
 						compareRuns(t, in, algo)
+						compareRuns(t, in, algo, bcc.WithReceivedTranscripts())
 						rounds := algo.Rounds(n)
 						compareRuns(t, in, algo, bcc.WithRounds(rounds/2))
 						compareRuns(t, in, algo, bcc.WithRounds(rounds+3))
@@ -168,11 +189,11 @@ func TestBitPlaneEquivalence(t *testing.T) {
 	}
 }
 
-// TestBitPlaneEngagement pins exactly when the fast path runs: 1-bit
-// plane-capable algorithms on any instance whose nodes accept their
-// binding, and never under WithoutBitPlane, WithReceivedTranscripts, a
-// multi-bit bandwidth, or (for rank-space nodes) a non-canonical KT-1
-// wiring.
+// TestBitPlaneEngagement pins exactly when the plane runs: plane-capable
+// algorithms of any bandwidth on any instance whose nodes accept their
+// binding, received transcripts or not; never under WithoutBitPlane,
+// for variable-length broadcasters (flood at B > 1), or (for rank-space
+// nodes) on a non-canonical KT-1 wiring.
 func TestBitPlaneEngagement(t *testing.T) {
 	const n = 12
 	g := graph.RandomOneCycle(n, rand.New(rand.NewSource(1)))
@@ -209,17 +230,24 @@ func TestBitPlaneEngagement(t *testing.T) {
 	}
 	check("flood-b1 canonical", true, canonical, flood1)
 	check("flood-b1 without-bit-plane", false, canonical, flood1, bcc.WithoutBitPlane())
-	check("flood-b1 received-transcripts", false, canonical, flood1, bcc.WithReceivedTranscripts())
-	check("flood-b2 multi-bit", false, canonical, flood2)
+	check("flood-b1 received-transcripts", true, canonical, flood1, bcc.WithReceivedTranscripts())
+	check("flood-b2 variable-length", false, canonical, flood2)
 	check("flood-b1 shuffled-ids", false, shuffled, flood1)
 	boruvka, err := algorithms.NewBoruvka(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("boruvka generic", false, canonical, boruvka)
+	check("boruvka canonical", true, canonical, boruvka)
+	check("boruvka shuffled-ids", true, shuffled, boruvka)
+	check("boruvka without-bit-plane", false, canonical, boruvka, bcc.WithoutBitPlane())
+	sk, err := sketch.NewConnectivity(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("sketch-a1 canonical", true, canonical, sk)
 }
 
-// TestBitPlaneConcurrent runs bit-plane and oracle pairs concurrently
+// TestBitPlaneConcurrent runs plane and oracle pairs concurrently
 // at several goroutine widths, all sharing the pooled plane/scratch
 // arenas — the data-race surface the -race CI job sweeps.
 func TestBitPlaneConcurrent(t *testing.T) {

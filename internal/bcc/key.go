@@ -136,19 +136,11 @@ func ParseKeys(labels []string) ([]TranscriptKey, error) {
 
 // SentTritKeys returns, for every vertex, the packed {0,1,⊥}-sequence it
 // broadcast over the run: the allocation-free counterpart of
-// SentTritLabels for transcript-bucketing hot paths. Bit-plane runs
-// repack the keys straight from the 2-bit trit arena, which shares this
-// encoding.
+// SentTritLabels for transcript-bucketing hot paths.
 func SentTritKeys(res *Result) ([]TranscriptKey, error) {
 	keys := make([]TranscriptKey, len(res.Transcripts))
 	for v := range res.Transcripts {
-		var k TranscriptKey
-		var err error
-		if res.trits != nil {
-			k, err = res.trits.tritKey(v)
-		} else {
-			k, err = KeyOfTrits(res.Transcripts[v].Sent)
-		}
+		k, err := KeyOfTrits(res.Transcripts[v].Sent)
 		if err != nil {
 			return nil, fmt.Errorf("vertex %d: %w", v, err)
 		}

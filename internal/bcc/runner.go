@@ -138,11 +138,11 @@ type Node interface {
 // substrate plus the broadcast mirror every replica would otherwise
 // replicate), so n replicas shrink to compact per-replica residue.
 //
-// Implementing RunBinder also opts the algorithm into the intra-cell
-// replica-parallel round loop: it declares that distinct nodes of one
-// run may execute their Send (and SendsReceiver/BitNode delivery)
-// phases concurrently. The bound algorithm must implement BitAlgorithm
-// whenever the original does.
+// Implementing RunBinder also opts the algorithm into intra-cell
+// sharding on the word plane: it declares that distinct nodes of one
+// run may execute their SendWord and ReceivePlanes phases
+// concurrently. The bound algorithm rides the plane when it implements
+// BitAlgorithm; otherwise the run takes the sequential reference loop.
 type RunBinder interface {
 	BindRun(in *Instance, rounds int) Algorithm
 }
@@ -153,18 +153,6 @@ type RunBinder interface {
 // next run.
 type RunReleaser interface {
 	ReleaseRun()
-}
-
-// SendsReceiver is an optional Node interface: a node that can consume
-// the round's raw broadcast vector indexed by vertex (its own entry
-// included — excluding it is the node's business), instead of a
-// per-port inbox. The runner prefers it whenever received transcripts
-// were not requested, which kills the Θ(n²)-per-round inbox assembly;
-// the slice is runner-owned and reused between rounds, so nodes must
-// not retain it. Nodes must keep Receive and ReceiveSends consistent:
-// the equivalence suite pins both deliveries against each other.
-type SendsReceiver interface {
-	ReceiveSends(round int, sends []Message)
 }
 
 // Decider is implemented by nodes solving decision problems such as
@@ -202,16 +190,12 @@ type Result struct {
 	// Transcripts holds the per-vertex Sent (and optionally Received)
 	// message sequences; nil under WithoutTranscripts.
 	Transcripts []Transcript
-	// BitPlane reports whether the run was served by the word-packed
-	// 1-bit fast path (see bitplane.go) instead of the generic Message
-	// loop. Both paths are pinned byte-identical by the equivalence
-	// suite; the flag exists for observability and for tests asserting
-	// the fast path actually engaged.
+	// BitPlane reports whether the run was served by the word plane
+	// (see bitplane.go) instead of the per-port reference loop. Both
+	// paths are pinned byte-identical by the equivalence suites; the
+	// flag exists for observability and for tests asserting the plane
+	// actually engaged.
 	BitPlane bool
-	// trits is the packed 2-bit trit arena of a transcript-recording
-	// bit-plane run; SentTritLabels/SentTritKeys derive trit strings
-	// and keys directly from it.
-	trits *tritPlane
 }
 
 // SentSequence returns the broadcast sequence of vertex v.
@@ -253,7 +237,9 @@ type recordReceivedOption struct{}
 func (recordReceivedOption) apply(opts *options) { opts.recordReceived = true }
 
 // WithReceivedTranscripts records per-port received messages in the result
-// transcripts (O(n²·t) memory).
+// transcripts (O(n²·t) memory). They are derived after the run from the
+// Sent transcripts and the port table, so the option does not change
+// which simulator path serves the run.
 func WithReceivedTranscripts() Option { return recordReceivedOption{} }
 
 type noTranscriptsOption struct{}
@@ -272,10 +258,10 @@ type noBitPlaneOption struct{}
 
 func (noBitPlaneOption) apply(opts *options) { opts.noBitPlane = true }
 
-// WithoutBitPlane forces the generic Message path even for algorithms
-// whose nodes could ride the word-packed bit plane. The generic path
-// is the equivalence oracle: the bit-plane test suite and the
-// before/after benchmarks run the same algorithm down both paths.
+// WithoutBitPlane forces the per-port reference loop even for
+// algorithms whose nodes could ride the word plane. The reference loop
+// is the equivalence oracle: the plane test suites and the before/after
+// benchmarks run the same algorithm down both paths.
 func WithoutBitPlane() Option { return noBitPlaneOption{} }
 
 // Run executes the algorithm on the instance and returns the result.
@@ -286,10 +272,10 @@ func Run(in *Instance, algo Algorithm, opts ...Option) (*Result, error) {
 }
 
 // RunContext is Run with cancellation: the context is checked at every
-// round boundary on both simulator paths (the generic Message loop and
-// the word-packed bit plane), so a disconnected client or a shutdown
-// signal stops a long simulation within one round instead of burning CPU
-// to the schedule's end. A cancelled run returns ctx's error and no
+// round boundary on both simulator paths (the per-port reference loop
+// and the word plane), so a disconnected client or a shutdown signal
+// stops a long simulation within one round instead of burning CPU to
+// the schedule's end. A cancelled run returns ctx's error and no
 // Result — partial transcripts are never surfaced, so cancellation can
 // never be mistaken for (or cached as) a computed outcome.
 func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Option) (*Result, error) {
@@ -322,7 +308,7 @@ func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Optio
 
 	// Shared-substrate algorithms bind once per run; the bound algorithm
 	// owns the run's shared state and is what nodes are built from.
-	// Binding also opts the run into intra-cell sharding at large n.
+	// Binding also opts plane runs into intra-cell sharding at large n.
 	bindSpan := span.Child("bind")
 	runAlgo := algo
 	bound := false
@@ -345,175 +331,81 @@ func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Optio
 	}
 	bindSpan.End()
 
-	// sg is the intra-cell shard pool: run-bound algorithms at large n
-	// split each phase into fixed replica shards over helpers drawn from
-	// the same process-wide budget as RunGrid's cell fan-out. Received-
-	// transcript runs stay sequential (they are tiny, test-only, and
-	// need the per-port inbox assembled per vertex).
-	var sg *shardGroup
-	if bound && !o.recordReceived && n >= intraCellThreshold() {
-		sg = newShardGroup(n)
-		defer sg.close()
-	}
-
-	// RoundBits comes out of the recycling pool (see Recycle): the loop
-	// writes every slot, so stale pool contents are inert.
+	// RoundBits comes out of the recycling pool (see Recycle): both
+	// loops write every slot, so stale pool contents are inert. One flat
+	// arena backs every vertex's Sent transcript: n slices into a single
+	// allocation instead of n append-grown ones.
 	res := &Result{Rounds: rounds, RoundBits: takeInts(rounds)}
-
-	// The bit plane serves 1-bit algorithms whose nodes all accept a
-	// plane binding; received-transcript runs need per-port inboxes and
-	// stay generic, as does everything multi-bit.
-	if b == 1 && !o.noBitPlane && !o.recordReceived {
-		if ba, ok := runAlgo.(BitAlgorithm); ok && ba.BitPlane() {
-			if bnodes, ok := bindBitPlane(in, nodes); ok {
-				roundsSpan := span.Child("rounds")
-				if err := runBitPlane(res, bnodes, o, sg); err != nil {
-					roundsSpan.EndErr(err)
-					return nil, err
-				}
-				annotateRounds(roundsSpan, res, sg, true)
-				assembleSpan := span.Child("assemble")
-				finishOutputs(res, nodes)
-				assembleSpan.End()
-				return res, nil
-			}
-		}
-	}
-
-	// Per-run send/inbox scratch comes from a pool sized by the largest
-	// (n, rounds) seen, so sweep grids running thousands of cells reuse
-	// two arenas instead of re-allocating per run. Every slot is
-	// overwritten before it is read, so stale pool contents are inert.
-	buf := getRunBuffers(n)
-	defer putRunBuffers(buf)
-	sends, inbox := buf.sends, buf.inbox
+	var sent []Message
 	if !o.noTranscripts {
 		res.Transcripts = make([]Transcript, n)
-		// One flat arena backs every vertex's Sent transcript: n slices
-		// into a single allocation instead of n append-grown ones.
-		sentArena := make([]Message, n*rounds)
-		for v := 0; v < n; v++ {
-			res.Transcripts[v].Sent = sentArena[v*rounds : (v+1)*rounds : (v+1)*rounds]
-			if o.recordReceived {
-				res.Transcripts[v].Received = make([][]Message, 0, rounds)
-			}
-		}
-	}
-	// Vector delivery: nodes implementing SendsReceiver consume the raw
-	// broadcast vector directly instead of a per-port inbox, skipping
-	// the Θ(n) inbox assembly per vertex. Received-transcript runs need
-	// the assembled inboxes and keep the classic path.
-	var srNodes []SendsReceiver
-	allSR := false
-	if !o.recordReceived {
-		srNodes = make([]SendsReceiver, n)
-		allSR = true
-		for v, node := range nodes {
-			if sr, ok := node.(SendsReceiver); ok {
-				srNodes[v] = sr
-			} else {
-				allSR = false
-			}
+		sent = make([]Message, n*rounds)
+		for v := range res.Transcripts {
+			res.Transcripts[v].Sent = sent[v*rounds : (v+1)*rounds : (v+1)*rounds]
 		}
 	}
 
 	roundsSpan := span.Child("rounds")
-	if sg != nil {
-		// Sharded round loop: replicas compute their round-t sends in
-		// parallel shards, barrier, then deliver. The two phase closures
-		// are created once per run (not per round) so the steady-state
-		// loop stays allocation-free; curRound is published to the
-		// workers by the phase barrier itself.
-		curRound := 0
-		shardBits := make([]int, sg.numShards)
-		sendPhase := func(shard, first, limit int) error {
-			t := curRound
-			rb := 0
-			for v := first; v < limit; v++ {
-				m := nodes[v].Send(t)
-				if int(m.Len) > b {
-					return fmt.Errorf("bcc: vertex %d broadcast %d bits in round %d, bandwidth is %d", v, m.Len, t, b)
-				}
-				sends[v] = m
-				rb += int(m.Len)
-				if !o.noTranscripts {
-					res.Transcripts[v].Sent[t-1] = m
-				}
-			}
-			shardBits[shard] = rb
-			return nil
-		}
-		recvPhase := func(_, first, limit int) error {
-			t := curRound
-			for v := first; v < limit; v++ {
-				srNodes[v].ReceiveSends(t, sends)
-			}
-			return nil
-		}
-		for t := 1; t <= rounds; t++ {
-			if err := o.ctx.Err(); err != nil {
-				recycleInts(res.RoundBits)
-				roundsSpan.EndErr(err)
-				return nil, err
-			}
-			curRound = t
-			if err := sg.phase(sendPhase); err != nil {
-				roundsSpan.EndErr(err)
-				return nil, err
-			}
-			roundBits := 0
-			for _, rb := range shardBits {
-				roundBits += rb
-			}
-			res.RoundBits[t-1] = roundBits
-			res.TotalBits += roundBits
-			if allSR {
-				if err := sg.phase(recvPhase); err != nil {
-					roundsSpan.EndErr(err)
-					return nil, err
-				}
-			} else {
-				deliverRound(in, nodes, srNodes, sends, inbox, t)
-			}
-		}
-		annotateRounds(roundsSpan, res, sg, false)
-		assembleSpan := span.Child("assemble")
-		finishOutputs(res, nodes)
-		assembleSpan.End()
-		return res, nil
+	var plane *planeRun
+	if ba, ok := runAlgo.(BitAlgorithm); ok && ba.BitPlane() && !o.noBitPlane {
+		plane = bindPlane(in, nodes, b)
 	}
+	var err error
+	shards := 0
+	if plane != nil {
+		helpers := bound && n >= intraCellThreshold()
+		err = plane.run(o.ctx, res, sent, helpers)
+		if helpers {
+			shards = plane.sg.numShards
+		}
+		plane.release()
+	} else {
+		err = runReference(o.ctx, in, nodes, res, b)
+	}
+	if err != nil {
+		recycleInts(res.RoundBits)
+		roundsSpan.EndErr(err)
+		return nil, err
+	}
+	annotateRounds(roundsSpan, res, shards)
+	if o.recordReceived {
+		deriveReceived(in, res)
+	}
+	assembleSpan := span.Child("assemble")
+	finishOutputs(res, nodes)
+	assembleSpan.End()
+	return res, nil
+}
 
-	for t := 1; t <= rounds; t++ {
-		if err := o.ctx.Err(); err != nil {
-			recycleInts(res.RoundBits)
-			roundsSpan.EndErr(err)
-			return nil, err
+// runReference is the per-port reference loop — the paper's model
+// executed literally: every node sends a Message, then hears the
+// round's broadcasts through its own (n−1)-slot port inbox. It is
+// sequential and serves every run the word plane does not.
+func runReference(ctx context.Context, in *Instance, nodes []Node, res *Result, b int) error {
+	// Per-run send/inbox scratch comes from a pool sized by the largest
+	// n seen; every slot is overwritten before it is read.
+	buf := getRunBuffers(len(nodes))
+	defer putRunBuffers(buf)
+	sends, inbox := buf.sends, buf.inbox
+	for t := 1; t <= res.Rounds; t++ {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		roundBits := 0
-		for v := 0; v < n; v++ {
-			m := nodes[v].Send(t)
+		for v, node := range nodes {
+			m := node.Send(t)
 			if int(m.Len) > b {
-				err := fmt.Errorf("bcc: vertex %d broadcast %d bits in round %d, bandwidth is %d", v, m.Len, t, b)
-				roundsSpan.EndErr(err)
-				return nil, err
+				return fmt.Errorf("bcc: vertex %d broadcast %d bits in round %d, bandwidth is %d", v, m.Len, t, b)
 			}
 			sends[v] = m
 			roundBits += int(m.Len)
-			if !o.noTranscripts {
+			if res.Transcripts != nil {
 				res.Transcripts[v].Sent[t-1] = m
 			}
 		}
 		res.RoundBits[t-1] = roundBits
 		res.TotalBits += roundBits
-		var recvArena []Message
-		if o.recordReceived {
-			recvArena = make([]Message, n*(n-1))
-		}
-		for v := 0; v < n; v++ {
-			if srNodes != nil && srNodes[v] != nil {
-				srNodes[v].ReceiveSends(t, sends)
-				continue
-			}
+		for v, node := range nodes {
 			if in.canonical {
 				// Canonical ascending-ID wiring: port p of v carries
 				// vertex p (p < v) or p+1, so delivery is two block
@@ -521,46 +413,57 @@ func RunContext(ctx context.Context, in *Instance, algo Algorithm, opts ...Optio
 				copy(inbox[:v], sends[:v])
 				copy(inbox[v:], sends[v+1:])
 			} else {
-				// delivery[p] is the vertex whose broadcast lands on
-				// port p of v — the instance's precomputed port table,
-				// one linear pass per vertex instead of a PortOf(v, u)
-				// lookup per (v, u) pair.
+				// ports[v][p] is the vertex whose broadcast lands on
+				// port p of v — one linear pass per vertex instead of
+				// a PortOf(v, u) lookup per (v, u) pair.
 				for p, u := range in.ports[v] {
 					inbox[p] = sends[u]
 				}
 			}
-			nodes[v].Receive(t, inbox)
-			if o.recordReceived {
-				row := recvArena[v*(n-1) : (v+1)*(n-1) : (v+1)*(n-1)]
-				copy(row, inbox)
-				res.Transcripts[v].Received = append(res.Transcripts[v].Received, row)
-			}
+			node.Receive(t, inbox)
 		}
 	}
+	return nil
+}
 
-	annotateRounds(roundsSpan, res, nil, false)
-	assembleSpan := span.Child("assemble")
-	finishOutputs(res, nodes)
-	assembleSpan.End()
-	return res, nil
+// deriveReceived fills the Received transcripts from the Sent ones and
+// the port table: a broadcast is heard identically on every port it
+// reaches, so Received[v][t-1][p] = Sent[NeighborAt(v, p)][t-1].
+func deriveReceived(in *Instance, res *Result) {
+	n, rounds := in.N(), res.Rounds
+	rows := make([][]Message, n*rounds)
+	arena := make([]Message, n*rounds*(n-1))
+	for v := 0; v < n; v++ {
+		recv := rows[v*rounds : (v+1)*rounds : (v+1)*rounds]
+		for t := range recv {
+			i := (v*rounds + t) * (n - 1)
+			row := arena[i : i+n-1 : i+n-1]
+			for p := range row {
+				row[p] = res.Transcripts[in.NeighborAt(v, p)].Sent[t]
+			}
+			recv[t] = row
+		}
+		res.Transcripts[v].Received = recv
+	}
 }
 
 // annotateRounds summarizes a finished round loop onto its span and
-// ends it: round/bit totals, which simulator path served the run, the
-// shard count, and a coarse per-round-window bit profile derived from
-// the already-recorded RoundBits series — all computed after the loop,
-// so the hot path never touches the tracer.
-func annotateRounds(s *obs.Span, res *Result, sg *shardGroup, bitPlane bool) {
+// ends it: round/bit totals, whether the word plane served the run, the
+// intra-cell shard count (0: not sharded), and a coarse
+// per-round-window bit profile derived from the already-recorded
+// RoundBits series — all computed after the loop, so the hot path never
+// touches the tracer.
+func annotateRounds(s *obs.Span, res *Result, shards int) {
 	if s == nil {
 		return
 	}
 	s.SetNum("rounds", float64(res.Rounds))
 	s.SetNum("total_bits", float64(res.TotalBits))
-	if bitPlane {
+	if res.BitPlane {
 		s.SetNum("bit_plane", 1)
 	}
-	if sg != nil {
-		s.SetNum("shards", float64(sg.numShards))
+	if shards > 0 {
+		s.SetNum("shards", float64(shards))
 	}
 	s.SetStr("round_windows", roundWindows(res.RoundBits))
 	s.End()
@@ -591,27 +494,6 @@ func roundWindows(bits []int) string {
 		sb.WriteString(strconv.Itoa(sum))
 	}
 	return sb.String()
-}
-
-// deliverRound assembles per-port inboxes sequentially for the nodes
-// that need them — the fallback delivery of a sharded run whose nodes
-// do not all consume the raw broadcast vector.
-func deliverRound(in *Instance, nodes []Node, srNodes []SendsReceiver, sends, inbox []Message, t int) {
-	for v := range nodes {
-		if srNodes != nil && srNodes[v] != nil {
-			srNodes[v].ReceiveSends(t, sends)
-			continue
-		}
-		if in.canonical {
-			copy(inbox[:v], sends[:v])
-			copy(inbox[v:], sends[v+1:])
-		} else {
-			for p, u := range in.ports[v] {
-				inbox[p] = sends[u]
-			}
-		}
-		nodes[v].Receive(t, inbox)
-	}
 }
 
 // finishOutputs collects the decision/labelling epilogue shared by both
@@ -710,16 +592,9 @@ func EstimateErrorContext(ctx context.Context, in *Instance, algo Algorithm, wan
 // SentTritLabels returns, for every vertex, the {0,1,⊥}-string it broadcast
 // over the run — the per-vertex sequences x, y used to define edge labels
 // and active edges in the KT-0 lower bound (Section 3). It errors if any
-// message is longer than one bit. Bit-plane runs derive the strings
-// directly from the packed trit arena.
+// message is longer than one bit.
 func SentTritLabels(res *Result) ([]string, error) {
 	labels := make([]string, len(res.Transcripts))
-	if res.trits != nil {
-		for v := range res.Transcripts {
-			labels[v] = res.trits.tritString(v)
-		}
-		return labels, nil
-	}
 	for v := range res.Transcripts {
 		s, err := TritString(res.Transcripts[v].Sent)
 		if err != nil {

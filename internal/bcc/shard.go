@@ -9,10 +9,10 @@ import (
 
 // Intra-cell replica parallelism: at large n one cell dominates a sweep
 // and RunGrid's cell-level fan-out has nothing left to parallelize, so
-// the runner shards the replicas of a single round across helper
+// the word plane shards the replicas of a single round across helper
 // goroutines. Send phases are embarrassingly parallel (each replica
-// writes only its own state and its own slot of the broadcast vector);
-// the barrier between the send and delivery phases preserves the
+// writes only its own state and its own bits of the planes); the
+// barrier between the send and delivery phases preserves the
 // round-synchronous semantics, and shard→replica assignment is a fixed
 // function of the index, so outputs are bit-identical at every worker
 // count. Helper goroutines come out of the same process-wide
@@ -21,8 +21,8 @@ import (
 // and intra-cell layers split them.
 
 // shardSize is the number of replicas per shard. It is a multiple of 64
-// so shard boundaries are word-aligned on the bit plane: concurrent
-// shards never touch the same spoke/value word.
+// so shard boundaries are word-aligned on the plane: concurrent shards
+// never touch the same word.
 const shardSize = 256
 
 // defaultIntraCellMinN is the smallest instance size that engages
@@ -34,7 +34,7 @@ const defaultIntraCellMinN = 2048
 // default. Tests force tiny-n parallel runs through SetIntraCellMinN.
 var intraCellMinN atomic.Int64
 
-// SetIntraCellMinN sets the smallest n at which runs of run-bound
+// SetIntraCellMinN sets the smallest n at which plane runs of run-bound
 // algorithms shard their rounds across helper goroutines, returning
 // the previous threshold. n <= 0 restores the default. The equivalence
 // suite uses it to drive small instances down the parallel path.
@@ -55,9 +55,9 @@ func intraCellThreshold() int {
 	return defaultIntraCellMinN
 }
 
-// intraShardsInFlight counts shards currently executing across all
-// in-process runs — the /metrics gauge operators watch to see an xl
-// cell claim the machine.
+// intraShardsInFlight counts intra-cell shards currently executing
+// across all in-process runs — the /metrics gauge operators watch to
+// see an xl cell claim the machine.
 var intraShardsInFlight atomic.Int64
 
 // IntraCellShardsInFlight reports how many intra-cell shards are
@@ -65,29 +65,35 @@ var intraShardsInFlight atomic.Int64
 func IntraCellShardsInFlight() int64 { return intraShardsInFlight.Load() }
 
 // shardGroup runs one run's phases over fixed replica shards: the
-// calling goroutine plus up to numShards-1 helpers drain an atomic
-// shard cursor. Workers are started once per run and parked on a
-// channel between phases, so the steady-state round loop allocates
-// nothing.
+// calling goroutine plus any helpers drain an atomic shard cursor.
+// Helpers are started once per run and parked on a channel between
+// phases, so the steady-state round loop allocates nothing. A group
+// opened without helpers drains every shard on the caller.
 type shardGroup struct {
 	n         int
 	numShards int
+	intraCell bool // opened for intra-cell sharding: counted in the gauge
 	workers   int
-	fn        func(shard, first, limit int) error
-	errs      []error
+	fn        func(first, limit int)
 	next      atomic.Int64
 	start     chan struct{}
 	phaseWG   sync.WaitGroup
 	exitWG    sync.WaitGroup
 }
 
-// newShardGroup reserves helper slots from the process-wide budget and
-// parks that many workers. With zero available slots the group still
-// works — every phase degrades to the sequential loop on the caller.
-func newShardGroup(n int) *shardGroup {
-	numShards := (n + shardSize - 1) / shardSize
-	sg := &shardGroup{n: n, numShards: numShards, errs: make([]error, numShards)}
-	want := numShards - 1
+// open sizes the group for n replicas. With helpers set it reserves
+// helper slots from the process-wide budget and parks that many
+// workers; with zero available slots the group still works — every
+// phase degrades to the sequential loop on the caller.
+func (sg *shardGroup) open(n int, helpers bool) {
+	sg.n = n
+	sg.numShards = (n + shardSize - 1) / shardSize
+	sg.intraCell = helpers
+	sg.workers = 0
+	if !helpers {
+		return
+	}
+	want := sg.numShards - 1
 	if most := parallel.Limit() - 1; want > most {
 		want = most
 	}
@@ -108,15 +114,13 @@ func newShardGroup(n int) *shardGroup {
 			}()
 		}
 	}
-	return sg
 }
 
 // phase runs fn over every shard and returns after the last one
 // completes — the barrier between a round's send and delivery steps.
-// The returned error is the lowest-shard error, so failures are
-// deterministic at every worker count. fn must be a per-run closure
-// (not per-phase) to keep the round loop allocation-free.
-func (sg *shardGroup) phase(fn func(shard, first, limit int) error) error {
+// fn must be built once per run (not per phase) to keep the round loop
+// allocation-free.
+func (sg *shardGroup) phase(fn func(first, limit int)) {
 	sg.fn = fn
 	sg.next.Store(0)
 	if sg.workers > 0 {
@@ -127,12 +131,6 @@ func (sg *shardGroup) phase(fn func(shard, first, limit int) error) error {
 	}
 	sg.drain()
 	sg.phaseWG.Wait()
-	for _, err := range sg.errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // drain claims shards off the cursor until none remain. Shard s always
@@ -144,23 +142,26 @@ func (sg *shardGroup) drain() {
 		if s >= sg.numShards {
 			return
 		}
-		intraShardsInFlight.Add(1)
 		first := s * shardSize
-		limit := first + shardSize
-		if limit > sg.n {
-			limit = sg.n
+		limit := min(first+shardSize, sg.n)
+		if sg.intraCell {
+			intraShardsInFlight.Add(1)
+			sg.fn(first, limit)
+			intraShardsInFlight.Add(-1)
+		} else {
+			sg.fn(first, limit)
 		}
-		sg.errs[s] = sg.fn(s, first, limit)
-		intraShardsInFlight.Add(-1)
 	}
 }
 
-// close retires the workers and returns their slots to the global
+// close retires the helpers and returns their slots to the global
 // budget.
 func (sg *shardGroup) close() {
 	if sg.workers > 0 {
 		close(sg.start)
 		sg.exitWG.Wait()
 		parallel.Release(sg.workers)
+		sg.workers = 0
+		sg.start = nil
 	}
 }

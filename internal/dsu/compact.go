@@ -82,7 +82,7 @@ func (c *Compact) Reset(n int) {
 
 // CopyFrom makes c an independent copy of src (same partition, same
 // internal paths), reusing c's parent array when possible. Truncated
-// bit-plane runs use it to refine a shared partition with per-replica
+// word-plane runs use it to refine a shared partition with per-replica
 // edges without mutating the shared copy.
 func (c *Compact) CopyFrom(src *Compact) {
 	n := len(src.parent)

@@ -89,7 +89,7 @@ func TestCancelledJobCellsDoNotPoisonCache(t *testing.T) {
 	}
 	firstCellDone := make(chan struct{})
 	var once sync.Once
-	var executions atomic.Int64
+	var executions, smallAttempts atomic.Int64
 	grid := engine.GridSpec{
 		ID: "GP", Title: "poison probe",
 		Protocols: []string{"p"}, Families: []string{"f"},
@@ -99,17 +99,17 @@ func TestCancelledJobCellsDoNotPoisonCache(t *testing.T) {
 		RunCell: func(ctx context.Context, _ engine.Config, c engine.GridCell, _ []int64) ([]string, error) {
 			executions.Add(1)
 			// The larger cell (dispatched first) completes; the smaller
-			// one parks on the context so the cancel catches it mid-cell.
+			// one parks on the context on its first attempt so the
+			// cancel catches it mid-cell, and completes on the rerun.
 			if c.N == 16 {
 				defer once.Do(func() { close(firstCellDone) })
 				return []string{"16"}, nil
 			}
-			select {
-			case <-ctx.Done():
+			if smallAttempts.Add(1) == 1 {
+				<-ctx.Done()
 				return nil, ctx.Err()
-			case <-time.After(30 * time.Second):
-				return []string{"8"}, nil
 			}
+			return []string{"8"}, nil
 		},
 	}
 	eng := engine.New(nil, engine.WithStore(store), engine.WithGrids(grid))

@@ -477,9 +477,10 @@ func dispatchOrder(cells []GridCell) []int {
 // dispatched largest-n first (see dispatchOrder) so a sweep's wall
 // clock is not serialized behind a straggler; assembly order, sink
 // order and the final table are unaffected. onEvent (optional) observes
-// per-cell progress. sink (optional) receives each row as soon as it
-// and all its predecessors have finished — always in cell order — so a
-// slow grid still streams early rows incrementally. Rows are
+// per-cell progress and is called concurrently from worker goroutines,
+// so it must be safe for concurrent use. sink (optional) receives each
+// row as soon as it and all its predecessors have finished — always in
+// cell order — so a slow grid still streams early rows incrementally. Rows are
 // bit-identical at any worker count; a resumed or recomposed grid
 // recomputes only cells whose content address is new.
 //

@@ -1,10 +1,10 @@
 // Package equiv pins the shared-substrate protocols' central contract:
-// outputs are bit-identical between the sequential round loop and the
-// intra-cell replica-parallel one at every worker count, between vector
-// and per-port delivery, between the bit plane and the generic loop,
-// and between run-bound (shared mirror) and bare (private mirror)
-// nodes. Verdicts, labels, RoundBits, and per-vertex transcripts must
-// all match — the sweep grids' cached content addresses depend on it.
+// outputs are bit-identical between the runner's two paths — the word
+// plane at every intra-cell worker count and the per-port reference
+// loop — and between run-bound (shared mirror) and bare (private
+// mirror) nodes. Verdicts, labels, RoundBits, and per-vertex sent and
+// received transcripts must all match — the sweep grids' cached content
+// addresses depend on it.
 package equiv_test
 
 import (
@@ -211,7 +211,7 @@ func inParallel(workers int, f func()) {
 
 // compareResults asserts every observable output of two runs matches:
 // rounds, verdicts, labels, per-round bit counts, and per-vertex sent
-// transcripts (as trit strings when both runs rode the bit plane).
+// (and, when both runs recorded them, received) transcripts.
 func compareResults(t *testing.T, label string, want, got *bcc.Result) {
 	t.Helper()
 	if got.Rounds != want.Rounds {
@@ -249,29 +249,29 @@ func compareResults(t *testing.T, label string, want, got *bcc.Result) {
 				t.Fatalf("%s: vertex %d round %d sent %v, want %v", label, v, r+1, gs[r], ws[r])
 			}
 		}
-	}
-	if want.BitPlane && got.BitPlane {
-		wt, err := bcc.SentTritLabels(want)
-		if err != nil {
-			t.Fatal(err)
+		wr, gr := want.Transcripts[v].Received, got.Transcripts[v].Received
+		if wr == nil || gr == nil {
+			continue
 		}
-		gt, err := bcc.SentTritLabels(got)
-		if err != nil {
-			t.Fatal(err)
+		if len(wr) != len(gr) {
+			t.Fatalf("%s: vertex %d received %d rounds, want %d", label, v, len(gr), len(wr))
 		}
-		for v := range wt {
-			if wt[v] != gt[v] {
-				t.Fatalf("%s: vertex %d trit transcript %q, want %q", label, v, gt[v], wt[v])
+		for r := range wr {
+			for p := range wr[r] {
+				if wr[r][p] != gr[r][p] {
+					t.Fatalf("%s: vertex %d round %d port %d received %v, want %v", label, v, r+1, p, gr[r][p], wr[r][p])
+				}
 			}
 		}
 	}
 }
 
 // TestReplicaParallelMatchesSequential is the tentpole pin: for every
-// protocol, family, ID assignment, size, and truncation point, the
-// replica-parallel round loop at several worker counts — and the
-// per-port inbox and generic (plane-off) delivery flavors — produce
-// results identical to the sequential vector path.
+// protocol, family, ID assignment, size, and truncation point, the word
+// plane at intra-cell worker budgets 1, 2 and 5 — and the plane with
+// derived received transcripts — produces results identical to the
+// per-port reference loop (WithoutBitPlane), received transcripts
+// included.
 func TestReplicaParallelMatchesSequential(t *testing.T) {
 	for _, pc := range protoCases() {
 		pc := pc
@@ -294,15 +294,20 @@ func TestReplicaParallelMatchesSequential(t *testing.T) {
 								continue
 							}
 							label := fmt.Sprintf("%s/%s/n=%d/scrambled=%v/rounds=%d", pc.name, fam, n, scrambled, rounds)
-							var seq *bcc.Result
-							var seqErr error
-							sequentially(func() {
-								seq, seqErr = bcc.Run(in, algo, bcc.WithRounds(rounds))
-							})
-							if seqErr != nil {
-								t.Fatalf("%s: %v", label, seqErr)
+							// The per-port reference loop is the oracle.
+							ref, err := bcc.Run(in, algo, bcc.WithRounds(rounds), bcc.WithoutBitPlane(), bcc.WithReceivedTranscripts())
+							if err != nil {
+								t.Fatalf("%s reference: %v", label, err)
 							}
-							for _, workers := range []int{2, 5} {
+							if ref.BitPlane {
+								t.Fatalf("%s: reference run engaged the plane despite WithoutBitPlane", label)
+							}
+							// The plane, sharded at several worker budgets
+							// (a budget of 1 drains every shard on the
+							// caller). flood-b1 declines the plane on the
+							// scrambled wirings and takes the reference
+							// path there, which must match too.
+							for _, workers := range []int{1, 2, 5} {
 								var par *bcc.Result
 								var parErr error
 								inParallel(workers, func() {
@@ -311,31 +316,21 @@ func TestReplicaParallelMatchesSequential(t *testing.T) {
 								if parErr != nil {
 									t.Fatalf("%s workers=%d: %v", label, workers, parErr)
 								}
-								compareResults(t, fmt.Sprintf("%s workers=%d", label, workers), seq, par)
+								if !par.BitPlane && !(pc.name == "flood-b1" && scrambled) {
+									t.Fatalf("%s workers=%d: plane did not engage", label, workers)
+								}
+								compareResults(t, fmt.Sprintf("%s workers=%d", label, workers), ref, par)
 							}
-							// Per-port inbox delivery (received transcripts
-							// force the classic Receive path).
+							// Received transcripts derived from a plane run.
 							var recv *bcc.Result
 							var recvErr error
 							sequentially(func() {
 								recv, recvErr = bcc.Run(in, algo, bcc.WithRounds(rounds), bcc.WithReceivedTranscripts())
 							})
 							if recvErr != nil {
-								t.Fatalf("%s inbox: %v", label, recvErr)
+								t.Fatalf("%s received: %v", label, recvErr)
 							}
-							compareResults(t, label+" inbox", seq, recv)
-							// Generic loop with the bit plane disabled.
-							if seq.BitPlane {
-								var gen *bcc.Result
-								var genErr error
-								sequentially(func() {
-									gen, genErr = bcc.Run(in, algo, bcc.WithRounds(rounds), bcc.WithoutBitPlane())
-								})
-								if genErr != nil {
-									t.Fatalf("%s no-plane: %v", label, genErr)
-								}
-								compareResults(t, label+" no-plane", seq, gen)
-							}
+							compareResults(t, label+" received", ref, recv)
 						}
 					}
 				}

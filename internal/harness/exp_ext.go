@@ -9,6 +9,7 @@ import (
 	"bcclique/internal/bcc"
 	"bcclique/internal/graph"
 	"bcclique/internal/pls"
+	"bcclique/internal/report"
 	"bcclique/internal/sketch"
 )
 
@@ -73,7 +74,7 @@ func runE15(ctx context.Context, cfg Config, p Params) (*Result, error) {
 				rejected++
 			}
 		}
-		table.AddRow(scheme.Name(), labelBits, YesNo(yesOK), YesNo(proveErr != nil),
+		table.AddRow(scheme.Name(), labelBits, report.YesNo(yesOK), report.YesNo(proveErr != nil),
 			fmt.Sprintf("%d/%d", rejected, trials))
 	}
 	return &Result{
@@ -233,7 +234,7 @@ func runE16(ctx context.Context, cfg Config, p Params) (*Result, error) {
 				wantVerdict = bcc.VerdictYes
 			}
 			correct := res.HasVerdict && res.Verdict == wantVerdict && labelsMatch(res.Labels, g)
-			conn.AddRow(fam.name, n, maxDeg, fam.arb, res.Rounds, YesNo(correct))
+			conn.AddRow(fam.name, n, maxDeg, fam.arb, res.Rounds, report.YesNo(correct))
 		}
 	}
 	return &Result{

@@ -13,6 +13,7 @@ import (
 	"bcclique/internal/graph"
 	"bcclique/internal/indist"
 	"bcclique/internal/parallel"
+	"bcclique/internal/report"
 )
 
 // probeAlgorithms returns the wiring-insensitive probe family with a
@@ -293,7 +294,7 @@ func runE05(ctx context.Context, cfg Config, p Params) (*Result, error) {
 		}
 		cf1 := graph.NumOneCycles(n).Int64()
 		cf2 := graph.NumTwoCycles(n).Int64()
-		enumerated.AddRow(n, v1, v2, cf1, cf2, YesNo(v1 == cf1 && v2 == cf2))
+		enumerated.AddRow(n, v1, v2, cf1, cf2, report.YesNo(v1 == cf1 && v2 == cf2))
 	}
 	ratio := &Table{
 		Title:   "Ratio |V2|/|V1| against the harmonic estimate (Lemma 3.9)",
@@ -329,7 +330,7 @@ func runE06(ctx context.Context, cfg Config, p Params) (*Result, error) {
 			}
 			measured := "n/a"
 			if cert.HasMeasured {
-				measured = FormatFloat(cert.MeasuredError)
+				measured = report.FormatFloat(cert.MeasuredError)
 			}
 			if cert.OptimalRuleError < minOptimal {
 				minOptimal = cert.OptimalRuleError
@@ -347,7 +348,7 @@ func runE06(ctx context.Context, cfg Config, p Params) (*Result, error) {
 	}
 	return &Result{
 		Claim:   "Constant-error Monte Carlo TwoCycle needs Ω(log n) rounds in KT-0 BCC(1).",
-		Finding: fmt.Sprintf("The optimal transcript-measurable rule still errs ≥ %s at every probed (algorithm, t); star packings certify a positive constant share of it.", FormatFloat(minOptimal)),
+		Finding: fmt.Sprintf("The optimal transcript-measurable rule still errs ≥ %s at every probed (algorithm, t); star packings certify a positive constant share of it.", report.FormatFloat(minOptimal)),
 		Tables:  []*Table{table, bound},
 	}, nil
 }

@@ -13,6 +13,7 @@ import (
 	"bcclique/internal/parallel"
 	"bcclique/internal/partition"
 	"bcclique/internal/reduction"
+	"bcclique/internal/report"
 )
 
 func sumInts(xs []int) int {
@@ -41,7 +42,7 @@ func runE07(ctx context.Context, cfg Config, p Params) (*Result, error) {
 		bn := partition.Bell(n)
 		full := int64(rank) == bn.Int64()
 		allFull = allFull && full
-		table.AddRow(n, bn, rank, YesNo(full),
+		table.AddRow(n, bn, rank, report.YesNo(full),
 			comm.RankLowerBoundBits(bn), n*comm.BitsFor(n)+1)
 	}
 	return &Result{
@@ -68,7 +69,7 @@ func runE08(ctx context.Context, cfg Config, p Params) (*Result, error) {
 		r := partition.NumPairings(n)
 		full := int64(rank) == r.Int64()
 		allFull = allFull && full
-		table.AddRow(n, r, rank, YesNo(full), comm.RankLowerBoundBits(r))
+		table.AddRow(n, r, rank, report.YesNo(full), comm.RankLowerBoundBits(r))
 	}
 	return &Result{
 		Claim:   "E_n (the pairing sub-matrix of M_n) has full rank n!/(2^{n/2}(n/2)!), hence D(TwoPartition) = Ω(n log n).",
@@ -167,7 +168,7 @@ func runE09(ctx context.Context, cfg Config, p Params) (*Result, error) {
 		return nil, err
 	}
 	joinL, _ := paL.Join(pbL)
-	fig.AddRow("left (general)", paL, pbL, joinL, YesNo(gL.IsConnected()))
+	fig.AddRow("left (general)", paL, pbL, joinL, report.YesNo(gL.IsConnected()))
 	paR, _ := partition.FromBlocks(8, [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}})
 	pbR, _ := partition.FromBlocks(8, [][]int{{0, 2}, {1, 3}, {4, 6}, {5, 7}})
 	gR, _, err := reduction.BuildPairing(paR, pbR)
@@ -175,7 +176,7 @@ func runE09(ctx context.Context, cfg Config, p Params) (*Result, error) {
 		return nil, err
 	}
 	joinR, _ := paR.Join(pbR)
-	fig.AddRow("right (pairing)", paR, pbR, joinR, YesNo(gR.IsConnected()))
+	fig.AddRow("right (pairing)", paR, pbR, joinR, report.YesNo(gR.IsConnected()))
 
 	return &Result{
 		Claim:   "The components of G(P_A,P_B) induce exactly P_A ∨ P_B on L and R; the pairing construction is 2-regular (MultiCycle).",
@@ -199,7 +200,7 @@ func runE10(ctx context.Context, cfg Config, p Params) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(n, YesNo(cert.RankVerified), cert.CCBoundPairingBits, cert.WireBitsPerRound,
+		table.AddRow(n, report.YesNo(cert.RankVerified), cert.CCBoundPairingBits, cert.WireBitsPerRound,
 			cert.RoundLowerBound, cert.UpperBoundRounds, cert.UpperBoundWireBits,
 			float64(cert.UpperBoundRounds)/cert.RoundLowerBound)
 	}
@@ -208,7 +209,7 @@ func runE10(ctx context.Context, cfg Config, p Params) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(n, YesNo(cert.RankVerified), cert.CCBoundPairingBits, cert.WireBitsPerRound,
+		table.AddRow(n, report.YesNo(cert.RankVerified), cert.CCBoundPairingBits, cert.WireBitsPerRound,
 			cert.RoundLowerBound, cert.UpperBoundRounds, cert.UpperBoundWireBits,
 			float64(cert.UpperBoundRounds)/cert.RoundLowerBound)
 	}
@@ -263,7 +264,7 @@ func runE10(ctx context.Context, cfg Config, p Params) (*Result, error) {
 			}
 			correct = correct && res.HasVerdict && res.Verdict == want
 		}
-		fidelity.AddRow(c.algo.Name(), c.name, trials, YesNo(match), YesNo(correct))
+		fidelity.AddRow(c.algo.Name(), c.name, trials, report.YesNo(match), report.YesNo(correct))
 	}
 	return &Result{
 		Claim:   "An r-round deterministic KT-1 BCC(1) algorithm yields a 2-party protocol of O(rn) bits, so Corollary 4.2 forces r = Ω(log n); sparse upper bounds make this tight.",
@@ -287,7 +288,7 @@ func runE11(ctx context.Context, cfg Config, p Params) (*Result, error) {
 				return nil, err
 			}
 			meets := math.Abs(cert.ErasureMI-cert.Bound) < 1e-9
-			table.AddRow(n, eps, cert.HPA, cert.ErasureMI, cert.Bound, YesNo(meets),
+			table.AddRow(n, eps, cert.HPA, cert.ErasureMI, cert.Bound, report.YesNo(meets),
 				cert.ScrambleMI, cert.Fano, cert.TranscriptBits, cert.RoundLowerBound)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"bcclique/internal/core"
 	"bcclique/internal/graph"
 	"bcclique/internal/partition"
+	"bcclique/internal/report"
 	"bcclique/internal/sketch"
 )
 
@@ -96,7 +97,7 @@ func runE12(ctx context.Context, cfg Config, p Params) (*Result, error) {
 			}
 			labelsOK := labelsMatch(res1.Labels, one) && labelsMatch(res2.Labels, two)
 			verified.AddRow(n, algo.Name(),
-				res1.Verdict.String(), res2.Verdict.String(), YesNo(labelsOK))
+				res1.Verdict.String(), res2.Verdict.String(), report.YesNo(labelsOK))
 		}
 	}
 	return &Result{
@@ -190,10 +191,10 @@ func runE14(ctx context.Context, cfg Config, p Params) (*Result, error) {
 		return nil, err
 	}
 	v0, v1 := kt0.View(3), kt1.View(3)
-	table.AddRow("KT-0 view hides IDs and port owners", YesNo(v0.AllIDs == nil && !v0.HasPortIDs()))
-	table.AddRow("KT-1 view carries all IDs and port labels", YesNo(len(v1.AllIDs) == n && v1.HasPortIDs() && v1.PortID(n-2) == n-1))
-	table.AddRow("every vertex has n−1 ports", YesNo(v0.NumPorts == n-1 && v1.NumPorts == n-1))
-	table.AddRow("cycle vertices see exactly 2 input ports", YesNo(len(v0.InputPorts) == 2))
+	table.AddRow("KT-0 view hides IDs and port owners", report.YesNo(v0.AllIDs == nil && !v0.HasPortIDs()))
+	table.AddRow("KT-1 view carries all IDs and port labels", report.YesNo(len(v1.AllIDs) == n && v1.HasPortIDs() && v1.PortID(n-2) == n-1))
+	table.AddRow("every vertex has n−1 ports", report.YesNo(v0.NumPorts == n-1 && v1.NumPorts == n-1))
+	table.AddRow("cycle vertices see exactly 2 input ports", report.YesNo(len(v0.InputPorts) == 2))
 
 	// Conjunction semantics: silent-NO forces system NO even though most
 	// vertices say YES is impossible here (all say NO)… use a split
@@ -209,8 +210,8 @@ func runE14(ctx context.Context, cfg Config, p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	table.AddRow("all-YES ⇒ system YES", YesNo(rYes.Verdict == bcc.VerdictYes))
-	table.AddRow("any-NO ⇒ system NO", YesNo(rNo.Verdict == bcc.VerdictNo))
+	table.AddRow("all-YES ⇒ system YES", report.YesNo(rYes.Verdict == bcc.VerdictYes))
+	table.AddRow("any-NO ⇒ system NO", report.YesNo(rNo.Verdict == bcc.VerdictNo))
 
 	// Public coin: CoinCast transcripts identical across vertices.
 	res, err := bcc.RunContext(ctx, kt1, algorithms.CoinCast{T: 12}, bcc.WithCoin(bcc.NewCoin(cfg.Seed)))
@@ -225,7 +226,7 @@ func runE14(ctx context.Context, cfg Config, p Params) (*Result, error) {
 	for v := 1; v < n; v++ {
 		shared = shared && labels[v] == labels[0]
 	}
-	table.AddRow("public coin shared by all vertices", YesNo(shared))
+	table.AddRow("public coin shared by all vertices", report.YesNo(shared))
 
 	// Monte Carlo accounting: a coin-flip decider errs ≈ 1/2.
 	seeds := make([]int64, p.Trials)
@@ -236,7 +237,7 @@ func runE14(ctx context.Context, cfg Config, p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	table.AddRow(fmt.Sprintf("coin-flip decider error ≈ 1/2 over %d seeds", len(seeds)), FormatFloat(errRate))
+	table.AddRow(fmt.Sprintf("coin-flip decider error ≈ 1/2 over %d seeds", len(seeds)), report.FormatFloat(errRate))
 
 	return &Result{
 		Claim:   "The simulator realizes Section 1.2: views per knowledge level, broadcast delivery via ports, YES-iff-all-YES decisions, public-coin Monte Carlo error.",

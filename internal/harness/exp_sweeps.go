@@ -111,8 +111,8 @@ func gridE17() engine.GridSpec {
 		Protocols: []string{"kt0-exchange", "boruvka", "sketch-a2", "flood-b1"},
 		Families:  []string{"one-cycle", "two-cycle", "crossed-two-cycle", "er-threshold", "grid"},
 		// The doubling ladder runs to n = 32768: flood-b1 climbs the
-		// whole thing on the runner's word-packed bit plane (its rounds
-		// collapse to two n-bit planes per round). Cells are cached
+		// whole thing on the runner's word plane (its rounds collapse
+		// to two n-bit bitsets per round). Cells are cached
 		// individually, so the pre-existing sizes keep their content
 		// addresses and a grown ladder only computes the new cells.
 		// Full runs at the top are still minutes of compute — restrict
@@ -128,7 +128,7 @@ func gridE17() engine.GridSpec {
 		// instead of per-replica memory: the sketch's phase decode scans
 		// the whole universe per deposited row (Θ(n²·k) per phase) and
 		// the KT-0 adapter materializes Θ(n²) port tables. boruvka rides
-		// to 16384 and the bit-plane flood-b1 climbs the full ladder.
+		// to 16384 and the plane-riding flood-b1 climbs the full ladder.
 		SizeCaps:   map[string]int{"sketch-a2": 2048, "kt0-exchange": 8192, "boruvka": 16384},
 		Seeds:      3,
 		QuickSeeds: 2,
@@ -196,7 +196,7 @@ func gridE18() engine.GridSpec {
 		Protocols: []string{"sketch-a1", "sketch-a2", "boruvka", "flood-b1"},
 		Families:  []string{"planted-2", "planted-4", "barbell"},
 		// Stress sizes climb to n = 32768 on the planted families via
-		// the bit-plane flood-b1 (the barbell at 8192 is ~16.8M clique
+		// the plane-riding flood-b1 (the barbell at 8192 is ~16.8M clique
 		// edges — the CSR builder assembles it in one pass, but only
 		// boruvka's O(log n) rounds can afford to stress it above 1024).
 		// The pre-existing cells keep their cached content addresses.

@@ -2,9 +2,19 @@ package harness
 
 import (
 	"bytes"
+	"context"
+	"io"
 	"strings"
 	"testing"
+
+	"bcclique/internal/report"
 )
+
+// runReport streams the markdown report of the selected experiments
+// (all when only is empty) to w through a fresh uncached engine.
+func runReport(w io.Writer, cfg Config, only ...string) ([]*Result, error) {
+	return NewEngine().Stream(context.Background(), w, report.Markdown{}, report.Meta{}, cfg, only, nil)
+}
 
 func TestTableMarkdown(t *testing.T) {
 	table := &Table{
@@ -22,23 +32,6 @@ func TestTableMarkdown(t *testing.T) {
 	for _, want := range []string{"**demo**", "| a | b |", "|---|---|", "| 1 | 2.5 |", "| x | true |", "a caption"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("markdown missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFormatFloat(t *testing.T) {
-	tests := []struct {
-		v    float64
-		want string
-	}{
-		{0, "0"},
-		{0.5, "0.5"},
-		{1234567, "1.23e+06"},
-		{0.19584, "0.1958"},
-	}
-	for _, tt := range tests {
-		if got := FormatFloat(tt.v); got != tt.want {
-			t.Errorf("FormatFloat(%v) = %q, want %q", tt.v, got, tt.want)
 		}
 	}
 }
@@ -84,7 +77,7 @@ func TestRunAllQuick(t *testing.T) {
 		t.Skip("quick suite still takes a few seconds")
 	}
 	var buf bytes.Buffer
-	results, err := RunAll(&buf, Config{Quick: true, Seed: 1})
+	results, err := runReport(&buf, Config{Quick: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,17 +104,11 @@ func TestRunAllQuick(t *testing.T) {
 
 func TestRunAllFilter(t *testing.T) {
 	var buf bytes.Buffer
-	results, err := RunAll(&buf, Config{Quick: true, Seed: 1}, "E13")
+	results, err := runReport(&buf, Config{Quick: true, Seed: 1}, "E13")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != 1 || results[0].ID != "E13" {
 		t.Fatalf("filter returned %d results", len(results))
-	}
-}
-
-func TestYesNo(t *testing.T) {
-	if YesNo(true) != "yes" || YesNo(false) != "no" {
-		t.Error("YesNo misrenders")
 	}
 }

@@ -28,14 +28,14 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 
 	parallel.SetLimit(1)
 	var seqBuf bytes.Buffer
-	seqResults, err := RunAll(&seqBuf, Config{Quick: true, Seed: 1}, ids...)
+	seqResults, err := runReport(&seqBuf, Config{Quick: true, Seed: 1}, ids...)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	parallel.SetLimit(8)
 	var parBuf bytes.Buffer
-	parResults, err := RunAll(&parBuf, Config{Quick: true, Seed: 1}, ids...)
+	parResults, err := runReport(&parBuf, Config{Quick: true, Seed: 1}, ids...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestRunAllWritesInIDOrder(t *testing.T) {
 	defer parallel.SetLimit(0)
 	parallel.SetLimit(8)
 	var buf bytes.Buffer
-	results, err := RunAll(&buf, Config{Quick: true, Seed: 1}, "E13", "E05", "E14")
+	results, err := runReport(&buf, Config{Quick: true, Seed: 1}, "E13", "E05", "E14")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,15 +9,15 @@ import (
 	"bcclique/internal/family"
 )
 
-// TestBitPlaneProtocolEquivalence pins, for every bit-plane protocol ×
-// a family sample × several seeds, the full sweep-visible Outcome of
-// the word-packed path byte-identical to the generic Message oracle —
+// TestBitPlaneProtocolEquivalence pins, for every plane protocol × a
+// family sample × several seeds, the full sweep-visible Outcome of the
+// word plane byte-identical to the per-port reference oracle —
 // verdicts, labels, RoundBits, TotalBits, correctness and refusal
 // flags. This is the protocol-level half of the equivalence suite
 // guaranteeing that extending the sweep ladders onto the bit plane
 // cannot change any pre-existing E17/E18 row.
 func TestBitPlaneProtocolEquivalence(t *testing.T) {
-	protocols := []string{"flood-b1", "kt0-exchange", "neighborhood"}
+	protocols := []string{"flood-b1", "kt0-exchange", "neighborhood", "boruvka", "sketch-a1", "sketch-a2"}
 	families := []string{"two-cycle", "er-threshold", "planted-2"}
 	// 24 exercises the single-word plane, 72 the multi-word layout.
 	for _, n := range []int{24, 72} {
@@ -53,16 +53,16 @@ func runBitPlaneProtocolEquivalence(t *testing.T, protocols, families []string, 
 						t.Fatal(err)
 					}
 					if !fast.BitPlane {
-						t.Fatal("fast run did not engage the bit plane")
+						t.Fatal("fast run did not engage the plane")
 					}
-					genericOracle = true
+					referenceOracle = true
 					oracle, err := p.Run(context.Background(), g, seed)
-					genericOracle = false
+					referenceOracle = false
 					if err != nil {
 						t.Fatal(err)
 					}
 					if oracle.BitPlane {
-						t.Fatal("oracle run engaged the bit plane despite genericOracle")
+						t.Fatal("oracle run engaged the plane despite referenceOracle")
 					}
 					// Outcomes must agree on everything but the path marker.
 					oracle.BitPlane = fast.BitPlane

@@ -52,9 +52,11 @@ type Outcome struct {
 	// algorithms use to reject inputs outside their promise instead of
 	// answering wrongly.
 	Refused bool `json:"refused"`
-	// BitPlane reports whether the run rode the simulator's word-packed
-	// 1-bit fast path (flood-b1, neighborhood and kt0-exchange do; the
-	// multi-bit boruvka and sketch adapters use the generic path).
+	// BitPlane reports whether the run rode the simulator's word plane
+	// rather than its per-port reference loop. Every registered
+	// adapter rides the plane — the multi-bit boruvka and sketch ones
+	// included; only flood at B > 1 (variable-length broadcasts)
+	// declines it.
 	BitPlane bool `json:"bit_plane,omitempty"`
 }
 
@@ -157,11 +159,11 @@ func Names() []string {
 	return out
 }
 
-// genericOracle, when true, forces every adapter run down the generic
-// Message path even for bit-plane-capable algorithms. The equivalence
-// suite flips it to pin bit-plane sweep outcomes against the oracle;
+// referenceOracle, when true, forces every adapter run down the per-port
+// reference loop even for plane-capable algorithms. The equivalence
+// suite flips it to pin plane sweep outcomes against the oracle;
 // it is not safe to toggle concurrently with running protocols.
-var genericOracle bool
+var referenceOracle bool
 
 // maxDegree returns max(1, Δ(g)) — algorithm constructors reject a zero
 // degree bound, and an edgeless graph still needs a schedule.
@@ -192,7 +194,7 @@ func bitsFor(m int) int {
 // the nodes' own state at any n.
 func finish(ctx context.Context, name string, g *graph.Graph, in *bcc.Instance, algo bcc.Algorithm) (*Outcome, error) {
 	opts := []bcc.Option{bcc.WithoutTranscripts()}
-	if genericOracle {
+	if referenceOracle {
 		opts = append(opts, bcc.WithoutBitPlane())
 	}
 	res, err := bcc.RunContext(ctx, in, algo, opts...)

@@ -28,6 +28,7 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"bcclique/internal/obs"
 	"bcclique/internal/report"
@@ -364,16 +365,27 @@ func (s *Store) load(ctx context.Context, key string) (res *report.Result, found
 	return res, true, true
 }
 
+// putTimeout bounds the write of a computed result. The write runs
+// detached from the caller's cancellation (see storePut), so this is
+// what keeps a hung backend from pinning the caller.
+const putTimeout = 10 * time.Second
+
 // storePut writes the computed result through the envelope, counting
-// the outcome. healthy reports whether the backend behaved (a context
-// error is the request's fault, not the backend's).
+// the outcome. The write is detached from ctx's cancellation: the
+// result is already paid for, and a client that disconnects between
+// compute and put must not throw a finished cell away (a cancelled
+// sweep keeps its completed cells). healthy reports whether the backend
+// behaved; the caller's cancellation cannot reach the write, so every
+// failure — putTimeout included — is the backend's.
 func (s *Store) storePut(ctx context.Context, key string, res *report.Result) (healthy bool) {
 	pctx, span := obs.Start(ctx, "store.put")
+	pctx, cancel := context.WithTimeout(context.WithoutCancel(pctx), putTimeout)
+	defer cancel()
 	err := s.Put(pctx, key, res)
 	if err != nil {
 		span.EndErr(err)
 		s.log.WarnContext(ctx, "results: backend put failed", "key", key, "err", err)
-		return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+		return false
 	}
 	span.End()
 	return true

@@ -167,6 +167,36 @@ func TestDoToleratesPutFailure(t *testing.T) {
 	}
 }
 
+// TestDoStoresResultCancelledBeforePut pins that a result computed just
+// before the caller's context is cancelled is still cached: the
+// cancellation lands between compute and Put, and the next lookup must
+// be a hit instead of a recompute.
+func TestDoStoresResultCancelledBeforePut(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := Key("finished-then-cancelled")
+	ctx, cancel := context.WithCancel(context.Background())
+	res, state, err := s.Do(ctx, key, func() (*report.Result, error) {
+		cancel() // the client goes away after the work is done
+		return sample(), nil
+	})
+	if err != nil || state.Cached() || res == nil {
+		t.Fatalf("Do: res=%v state=%v err=%v", res, state, err)
+	}
+	if st := s.Stats(); st.Puts != 1 || st.PutErrors != 0 {
+		t.Fatalf("stats = %+v, want the finished result stored", st)
+	}
+	_, state, err = s.Do(context.Background(), key, func() (*report.Result, error) {
+		t.Error("recomputed a result that finished before the cancel")
+		return sample(), nil
+	})
+	if err != nil || state != StateHit {
+		t.Fatalf("lookup after cancelled put: state=%v err=%v", state, err)
+	}
+}
+
 func TestDoDiskHit(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(dir)

@@ -66,6 +66,10 @@ func (c *Connectivity) Name() string { return "sketch-connectivity" }
 // Bandwidth implements bcc.Algorithm: one 31-bit field element per round.
 func (c *Connectivity) Bandwidth() int { return 31 }
 
+// BitPlane implements bcc.BitAlgorithm: a transmitting vertex sends a
+// full 31-bit element every round of its phase, everyone else is ⊥.
+func (c *Connectivity) BitPlane() bool { return true }
+
 // phases returns the peeling schedule length for n vertices.
 func phases(n int) int {
 	p := 1
@@ -342,13 +346,13 @@ func (n *sketchNode) rankOf(id int) (int, bool) {
 	return 0, false
 }
 
-func (n *sketchNode) Send(round int) bcc.Message {
-	if n.broken {
-		return bcc.Silence
-	}
+// element returns this round's broadcast: the pos-th element of the
+// phase's sketch, or ⊥ when the vertex does not transmit this phase.
+// At phase start it decides whether to transmit and, in shared mode,
+// deposits the sketch in the run's row table.
+func (n *sketchNode) element(round int) (uint64, bool) {
 	pos := (round - 1) % n.sketchLen()
 	if pos == 0 {
-		// Phase start: decide whether to transmit this phase.
 		n.sketch = nil
 		if !n.selfRetired && len(n.liveNbrs) <= 4*n.a {
 			s, err := n.encoder().Encode(n.liveNbrs)
@@ -362,9 +366,20 @@ func (n *sketchNode) Send(round int) bcc.Message {
 		}
 	}
 	if n.sketch == nil {
+		return 0, false
+	}
+	return n.sketch[pos], true
+}
+
+func (n *sketchNode) Send(round int) bcc.Message {
+	if n.broken {
 		return bcc.Silence
 	}
-	return bcc.Word(n.sketch[pos], 31)
+	e, speak := n.element(round)
+	if !speak {
+		return bcc.Silence
+	}
+	return bcc.Word(e, 31)
 }
 
 func (n *sketchNode) encoder() *Recoverer {
@@ -426,10 +441,22 @@ func (n *sketchNode) Receive(round int, inbox []bcc.Message) {
 	}
 }
 
-// ReceiveSends implements bcc.SendsReceiver: shared mode reads the row
-// table, not the broadcast vector, so delivery is just the phase
-// boundary.
-func (n *sketchNode) ReceiveSends(round int, _ []bcc.Message) {
+// BindPlane implements bcc.BitNode. Shared-mode nodes read the row
+// table, never the planes, so any wiring is accepted; a private node
+// needs its per-port buffers and declines.
+func (n *sketchNode) BindPlane(int, []int) bool { return n.broken || n.run != nil }
+
+// SendWord implements bcc.BitNode: the same element Send broadcasts.
+func (n *sketchNode) SendWord(round int) (uint64, bool) {
+	if n.broken {
+		return 0, false
+	}
+	return n.element(round)
+}
+
+// ReceivePlanes implements bcc.BitNode: shared mode reads the row
+// table, not the broadcast, so delivery is just the phase boundary.
+func (n *sketchNode) ReceivePlanes(round int, _ [][]uint64, _ []uint64) {
 	if n.broken || n.run == nil {
 		return
 	}
@@ -540,11 +567,11 @@ func (n *sketchNode) Label() int {
 }
 
 var (
-	_ bcc.Algorithm     = (*Connectivity)(nil)
-	_ bcc.RunBinder     = (*Connectivity)(nil)
-	_ bcc.Algorithm     = (*sketchRun)(nil)
-	_ bcc.RunReleaser   = (*sketchRun)(nil)
-	_ bcc.Decider       = (*sketchNode)(nil)
-	_ bcc.Labeler       = (*sketchNode)(nil)
-	_ bcc.SendsReceiver = (*sketchNode)(nil)
+	_ bcc.Algorithm    = (*Connectivity)(nil)
+	_ bcc.RunBinder    = (*Connectivity)(nil)
+	_ bcc.BitAlgorithm = (*sketchRun)(nil)
+	_ bcc.RunReleaser  = (*sketchRun)(nil)
+	_ bcc.Decider      = (*sketchNode)(nil)
+	_ bcc.Labeler      = (*sketchNode)(nil)
+	_ bcc.BitNode      = (*sketchNode)(nil)
 )

@@ -8,11 +8,11 @@ import (
 	"bcclique/internal/parallel"
 )
 
-// shardLoopProbe is an inert run-bound BCC(2) algorithm with
-// preallocated nodes: binding it opts a run into the intra-cell
-// replica-parallel loop, and its nodes consume the raw broadcast vector,
-// so a Run's allocations are exactly the sharded generic round loop's
-// own. Bandwidth 2 keeps it off the bit plane.
+// shardLoopProbe is an inert run-bound BCC(2) plane algorithm with
+// preallocated nodes: binding it opts a run into intra-cell sharding on
+// the word plane, and its nodes speak a 2-bit word every round and
+// ignore the planes, so a Run's allocations are exactly the sharded
+// plane loop's own.
 type shardLoopProbe struct {
 	rounds int
 	nodes  []bcc.Node
@@ -22,6 +22,7 @@ type shardLoopProbe struct {
 func (p *shardLoopProbe) Name() string   { return "shard-loop-probe" }
 func (p *shardLoopProbe) Bandwidth() int { return 2 }
 func (p *shardLoopProbe) Rounds(int) int { return p.rounds }
+func (p *shardLoopProbe) BitPlane() bool { return true }
 func (p *shardLoopProbe) BindRun(*bcc.Instance, int) bcc.Algorithm {
 	p.next = 0
 	return p
@@ -34,17 +35,19 @@ func (p *shardLoopProbe) NewNode(bcc.View, *bcc.Coin) bcc.Node {
 
 type shardLoopNode struct{}
 
-func (shardLoopNode) Send(int) bcc.Message            { return bcc.Word(2, 2) }
-func (shardLoopNode) Receive(int, []bcc.Message)      {}
-func (shardLoopNode) ReceiveSends(int, []bcc.Message) {}
+func (shardLoopNode) Send(int) bcc.Message                    { return bcc.Word(2, 2) }
+func (shardLoopNode) Receive(int, []bcc.Message)              {}
+func (shardLoopNode) BindPlane(int, []int) bool               { return true }
+func (shardLoopNode) SendWord(int) (uint64, bool)             { return 2, true }
+func (shardLoopNode) ReceivePlanes(int, [][]uint64, []uint64) {}
 
 // TestShardedRoundLoopAllocationFree pins the intra-cell parallel
 // loop's 0-allocs steady-state contract, the sharded sibling of
 // TestBitPlaneRoundLoopAllocationFree: with node construction amortized
 // and worker sharding forced on, a run's allocation count is a small
-// constant independent of the round count — the per-run shard group,
-// phase closures, and parked workers are the only overhead, and no
-// allocation happens per round or per phase.
+// constant independent of the round count — the parked workers are
+// the only overhead beyond the result, and no allocation happens per
+// round or per phase.
 func TestShardedRoundLoopAllocationFree(t *testing.T) {
 	const n = 640 // 3 shards of 256: cursor contention plus a ragged tail
 	g := graph.New(n)
@@ -72,8 +75,8 @@ func TestShardedRoundLoopAllocationFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.TotalBits != 2*n*rounds {
-				t.Fatalf("probe run broadcast %d bits, want %d", res.TotalBits, 2*n*rounds)
+			if !res.BitPlane || res.TotalBits != 2*n*rounds {
+				t.Fatalf("probe run broadcast %d bits (plane %v), want %d on the plane", res.TotalBits, res.BitPlane, 2*n*rounds)
 			}
 			bcc.Recycle(res)
 		})
@@ -82,8 +85,8 @@ func TestShardedRoundLoopAllocationFree(t *testing.T) {
 	if long > short {
 		t.Errorf("allocations grow with the round count (%.1f at 64 rounds, %.1f at 4096): the sharded round loop allocates", short, long)
 	}
-	// The constant is the per-run overhead: shard group + parked
-	// workers + phase closures + node/SendsReceiver tables. A per-round
+	// The constant is the per-run overhead: parked workers, the result
+	// and the node table (the plane state itself is pooled). A per-round
 	// or per-phase regression would add thousands.
 	if long > 48 {
 		t.Errorf("per-run allocation constant is %.1f, want a small constant", long)
