@@ -785,3 +785,33 @@ func BenchmarkScaleBoruvkaTwoCycle1024(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkScaleKT0ExchangeERThreshold1024 is the kt0-exchange sweep
+// cell whose phase-2 stream spans several words (er-threshold's maximum
+// degree times 10-bit IDs): family build, seeded KT-0 wiring, the
+// run-shared stream mirror and its one-pass shared output epilogue.
+func BenchmarkScaleKT0ExchangeERThreshold1024(b *testing.B) {
+	p, ok := protocol.Lookup("kt0-exchange")
+	if !ok {
+		b.Fatal("kt0-exchange protocol missing")
+	}
+	fam, ok := family.Lookup("er-threshold")
+	if !ok {
+		b.Fatal("er-threshold family missing")
+	}
+	g, err := fam.Build(1024, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := p.Run(context.Background(), g, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !out.Correct {
+			b.Fatal("kt0-exchange must decide and label er-threshold correctly")
+		}
+	}
+}

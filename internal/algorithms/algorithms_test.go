@@ -163,6 +163,28 @@ func TestKT0ExchangeRounds(t *testing.T) {
 	}
 }
 
+// TestKT0StreamSlots round-trips phase-2 streams through setStreamBit
+// and slotID at widths whose slots straddle word boundaries.
+func TestKT0StreamSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, idBits := range []int{1, 5, 9, 13, 62} {
+		a := &KT0Exchange{MaxDegree: 3 + 200/idBits, IDBits: idBits}
+		stream := make([]uint64, a.streamWords())
+		ids := make([]int, a.MaxDegree)
+		for s := range ids {
+			ids[s] = rng.Intn(1 << uint(idBits))
+			for b := 0; b < idBits; b++ {
+				setStreamBit(stream, uint8(ids[s]>>uint(b)), s*idBits+b)
+			}
+		}
+		for s, want := range ids {
+			if got := slotID(stream, s, idBits); got != want {
+				t.Errorf("idBits=%d slot %d: decoded %d, wrote %d", idBits, s, got, want)
+			}
+		}
+	}
+}
+
 func TestFlood(t *testing.T) {
 	for _, b := range []int{1, 3, 8} {
 		algo, err := NewFlood(b)

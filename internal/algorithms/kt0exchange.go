@@ -23,19 +23,22 @@ import (
 // Total: (MaxDegree+1)·IDBits rounds of 1 bit — O(log n) for 2-regular
 // inputs, matching the KT-0 Ω(log n) lower bound of Theorem 3.1.
 //
+// A vertex's phase-2 stream is MaxDegree·IDBits bits long, so it is
+// stored in streamWords 64-bit words and its slots are decoded across
+// word boundaries; nothing the protocol broadcasts is dropped.
+//
 // What each replica accumulates is a projection of one global object:
 // the per-vertex announcement streams, identical in every inbox. Under
 // the runner's RunBinder protocol the n per-replica stream tables
-// (2·(n−1) words each — the Θ(n²) dominating large cells) collapse
-// into one run-shared pair uid[u]/stream[u], filled once per round by
-// whichever replica wins the round's apply. On a complete schedule every
-// replica's reconstructed claim graph coincides with the shared one, so
-// verdict and labels are computed once and read per-replica in O(1);
-// truncated runs (the replicas' universes genuinely diverge when a
-// partial uid differs from a vertex's own full ID) reconstruct the
-// classic per-replica outputs from the shared streams. Bare NewNode
-// keeps the old self-contained per-node accumulation for callers that
-// drive nodes by hand.
+// collapse into one run-shared mirror — uid[u] and u's streamWords-word
+// stream — filled once per round by whichever replica wins the round's
+// apply. On a complete schedule every replica's reconstructed claim
+// graph coincides with the shared one, so verdict and labels are
+// computed once and read per-replica in O(1). Truncated runs (the
+// replicas' universes genuinely diverge when a partial uid differs from
+// a vertex's own full ID) reconstruct each replica's outputs from the
+// shared streams. Bare NewNode keeps a self-contained per-node
+// accumulation for callers that drive nodes by hand.
 type KT0Exchange struct {
 	// MaxDegree is the degree bound the schedule is provisioned for.
 	MaxDegree int
@@ -65,6 +68,9 @@ func (a *KT0Exchange) Bandwidth() int { return 1 }
 // Rounds implements bcc.Algorithm.
 func (a *KT0Exchange) Rounds(int) int { return (a.MaxDegree + 1) * a.IDBits }
 
+// streamWords is the number of 64-bit words one phase-2 stream spans.
+func (a *KT0Exchange) streamWords() int { return (a.MaxDegree*a.IDBits + 63) / 64 }
+
 // BitPlane implements bcc.BitAlgorithm: the algorithm is BCC(1) in
 // every configuration. Unlike the rank-space KT-1 nodes, the run-shared
 // mirror is vertex-indexed, so the plane accepts any wiring.
@@ -87,12 +93,15 @@ func (a *KT0Exchange) BindRun(in *bcc.Instance, _ int) bcc.Algorithm {
 	r.sharedValid = false
 	r.appliedRound.Store(0)
 	r.nextNode = 0
+	r.words = a.streamWords()
 	if cap(r.uid) < n {
 		r.uid = make([]uint64, n)
-		r.stream = make([]uint64, n)
 	}
 	r.uid = r.uid[:n]
-	r.stream = r.stream[:n]
+	if cap(r.stream) < n*r.words {
+		r.stream = make([]uint64, n*r.words)
+	}
+	r.stream = r.stream[:n*r.words]
 	clear(r.uid)
 	clear(r.stream)
 	if cap(r.nodes) < n {
@@ -107,7 +116,7 @@ func (a *KT0Exchange) BindRun(in *bcc.Instance, _ int) bcc.Algorithm {
 }
 
 // kt0Run is the run-shared announcement mirror: uid[u] collects the
-// phase-1 bits vertex u broadcast, stream[u] its phase-2 slot stream —
+// phase-1 bits vertex u broadcast, streamOf(u) its phase-2 slot stream —
 // exactly the columns every replica's per-port tables would have held.
 // The first replica to receive each round wins the CAS and transcribes
 // the round's broadcast vector; everyone else returns untouched.
@@ -115,7 +124,8 @@ type kt0Run struct {
 	*KT0Exchange
 	in     *bcc.Instance
 	uid    []uint64
-	stream []uint64
+	stream []uint64 // vertex-major, words per vertex
+	words  int
 	rounds int // last applied round = the run's actual length
 	// appliedRound gates the once-per-round transcription.
 	appliedRound atomic.Int64
@@ -178,15 +188,48 @@ func (r *kt0Run) beginApply(round int) bool {
 	return r.appliedRound.CompareAndSwap(int64(round-1), int64(round))
 }
 
+// streamOf returns vertex u's phase-2 stream.
+func (r *kt0Run) streamOf(u int) []uint64 { return r.stream[u*r.words : (u+1)*r.words] }
+
 // accumulate records that vertex u broadcast the given bit in round t.
-// Shifts at or beyond 64 vanish (Go shift semantics), matching the
-// classic per-node accumulation on over-extended schedules.
 func (r *kt0Run) accumulate(u int, bit uint8, round int) {
 	if round <= r.IDBits {
 		r.uid[u] |= uint64(bit&1) << uint(round-1)
 	} else {
-		r.stream[u] |= uint64(bit&1) << uint(round-r.IDBits-1)
+		setStreamBit(r.streamOf(u), bit, round-r.IDBits-1)
 	}
+}
+
+// setStreamBit ORs bit into position i of a phase-2 stream. Positions
+// past the stream lie beyond the schedule (WithRounds can extend a run)
+// and are dropped.
+func setStreamBit(stream []uint64, bit uint8, i int) {
+	if bit&1 != 0 && i < len(stream)<<6 {
+		stream[i>>6] |= 1 << uint(i&63)
+	}
+}
+
+// slotID decodes the s-th idBits-wide slot of a phase-2 stream; a slot
+// may straddle a word boundary.
+func slotID(stream []uint64, s, idBits int) int {
+	off := s * idBits
+	w, b := off>>6, uint(off&63)
+	v := stream[w] >> b
+	if b+uint(idBits) > 64 {
+		v |= stream[w+1] << (64 - b)
+	}
+	return int(v & (1<<uint(idBits) - 1))
+}
+
+// claimSlots appends to claims the ranks of the IDs announced in the
+// first slots slots of stream, skipping IDs outside the universe.
+func claimSlots(claims []int, ix *indexer, stream []uint64, slots, idBits int) []int {
+	for s := 0; s < slots; s++ {
+		if w := ix.rank(slotID(stream, s, idBits)); w >= 0 {
+			claims = append(claims, w)
+		}
+	}
+	return claims
 }
 
 // finishShared computes the shared claim graph once the run is over.
@@ -195,7 +238,8 @@ func (r *kt0Run) accumulate(u int, bit uint8, round int) {
 // graph coincide with the shared ones — uid[v] is v's own full ID, and
 // v's announced phase-2 stream decodes to exactly the port claims v
 // would have entered for itself — so one components pass serves all n
-// replicas. Callers are sequential (the runner's output epilogue).
+// replicas, whatever the stream's width. Callers are sequential (the
+// runner's output epilogue).
 func (r *kt0Run) finishShared() {
 	if r.finished {
 		return
@@ -204,15 +248,6 @@ func (r *kt0Run) finishShared() {
 	if r.rounds < (r.MaxDegree+1)*r.IDBits {
 		return // truncated: universes diverge; replicas take the slow path
 	}
-	if r.MaxDegree*r.IDBits > 64 {
-		// The phase-2 stream overflows its word: receivers drop bits at
-		// or past 64 (Go shift semantics), so a replica's reconstructed
-		// claim graph — exact for its own row via its input ports,
-		// truncated for everyone else's — no longer coincides with a
-		// decode of all n truncated streams. Only the per-replica
-		// reconstruction reproduces the classic outputs bit for bit.
-		return
-	}
 	n := len(r.uid)
 	allIDs := make([]int, n)
 	for u, bits := range r.uid {
@@ -220,16 +255,9 @@ func (r *kt0Run) finishShared() {
 	}
 	ix := newIndexer(allIDs)
 	claims := make([][]int, ix.n())
-	slots := r.MaxDegree
-	mask := uint64(1)<<uint(r.IDBits) - 1
 	for u := 0; u < n; u++ {
 		v := ix.rank(int(r.uid[u]))
-		for s := 0; s < slots; s++ {
-			claimedID := int(r.stream[u] >> uint(s*r.IDBits) & mask)
-			if w := ix.rank(claimedID); w >= 0 {
-				claims[v] = append(claims[v], w)
-			}
-		}
+		claims[v] = claimSlots(claims[v], ix, r.streamOf(u), r.MaxDegree, r.IDBits)
 	}
 	g := claimGraph(ix.n(), claims)
 	d := g.Components()
@@ -255,9 +283,9 @@ func (r *kt0Run) finishShared() {
 	r.sharedValid = true
 }
 
-// NewNode implements bcc.Algorithm on the bare (unbound) algorithm: the
-// classic self-contained node that accumulates its own per-port stream
-// tables, for callers that drive nodes by hand.
+// NewNode implements bcc.Algorithm on the bare (unbound) algorithm: a
+// self-contained node that accumulates its own per-port stream tables,
+// for callers that drive nodes by hand.
 func (a *KT0Exchange) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 	node := &kt0Node{
 		id:         view.ID,
@@ -265,8 +293,9 @@ func (a *KT0Exchange) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 		maxDegree:  a.MaxDegree,
 		inputPorts: append([]int(nil), view.InputPorts...),
 		portID:     make([]uint64, view.NumPorts),
-		phase2:     make([]uint64, view.NumPorts),
+		words:      a.streamWords(),
 	}
+	node.phase2 = make([]uint64, view.NumPorts*node.words)
 	if view.ID < 0 || view.ID >= 1<<uint(a.IDBits) {
 		node.broken = true
 	}
@@ -278,7 +307,7 @@ func (a *KT0Exchange) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 
 // kt0Node is one replica. In run-shared mode (run != nil) its residue
 // is the vertex index and the input-neighbour slot table; in private
-// mode it carries the classic per-port uid/stream tables.
+// mode it carries its own per-port uid/stream tables.
 type kt0Node struct {
 	run        *kt0Run
 	id         int
@@ -286,7 +315,8 @@ type kt0Node struct {
 	maxDegree  int
 	inputPorts []int    // private mode
 	portID     []uint64 // private mode: phase-1 ID heard on each port
-	phase2     []uint64 // private mode: phase-2 stream heard on each port
+	phase2     []uint64 // private mode: phase-2 stream heard on each port, port-major
+	words      int      // private mode: words per phase-2 stream
 	rounds     int      // private mode
 	self       int32    // shared mode: vertex index
 	nbrOfSlot  []int32  // shared mode: vertex behind the s-th input port
@@ -369,9 +399,12 @@ func (n *kt0Node) Receive(round int, inbox []bcc.Message) {
 	}
 	r := round - n.idBits - 1
 	for p, m := range inbox {
-		n.phase2[p] |= uint64(m.BitAt(0)) << uint(r)
+		setStreamBit(n.portStream(p), m.BitAt(0), r)
 	}
 }
+
+// portStream returns the phase-2 stream heard on port p (private mode).
+func (n *kt0Node) portStream(p int) []uint64 { return n.phase2[p*n.words : (p+1)*n.words] }
 
 // BindPlane implements bcc.BitNode. A shared node's mirror is
 // vertex-indexed, so any wiring is accepted; a private node keeps
@@ -432,9 +465,9 @@ func (n *kt0Node) computeOutputs() componentOutputs {
 			}
 			return componentOutputs{verdict: verdict, label: r.sharedIx.id(int(r.sharedComp[selfRank]))}
 		}
-		// Truncated schedule: reconstruct the classic per-replica
-		// outputs from the shared streams. The replica's universe is
-		// its own full ID plus everyone else's partial announcements.
+		// Truncated schedule: reconstruct this replica's outputs from
+		// the shared streams. The replica's universe is its own full
+		// ID plus everyone else's partial announcements.
 		nn := len(r.uid)
 		allIDs := make([]int, 0, nn)
 		allIDs = append(allIDs, n.id)
@@ -453,7 +486,6 @@ func (n *kt0Node) computeOutputs() componentOutputs {
 		if slots > n.maxDegree {
 			slots = n.maxDegree
 		}
-		mask := uint64(1)<<uint(n.idBits) - 1
 		for u := 0; u < nn; u++ {
 			if u == int(n.self) {
 				continue
@@ -462,12 +494,7 @@ func (n *kt0Node) computeOutputs() componentOutputs {
 			if v < 0 {
 				return componentOutputs{verdict: bcc.VerdictNo, label: -1}
 			}
-			for s := 0; s < slots; s++ {
-				claimedID := int(r.stream[u] >> uint(s*n.idBits) & mask)
-				if w := ix.rank(claimedID); w >= 0 {
-					claims[v] = append(claims[v], w)
-				}
-			}
+			claims[v] = claimSlots(claims[v], ix, r.streamOf(u), slots, n.idBits)
 		}
 		g := claimGraph(ix.n(), claims)
 		return outputsFromGraph(g, ix, self, false)
@@ -487,18 +514,12 @@ func (n *kt0Node) computeOutputs() componentOutputs {
 	if slots > n.maxDegree {
 		slots = n.maxDegree
 	}
-	mask := uint64(1)<<uint(n.idBits) - 1
-	for p, stream := range n.phase2 {
-		v := ix.rank(int(n.portID[p]))
+	for p, pid := range n.portID {
+		v := ix.rank(int(pid))
 		if v < 0 {
 			return componentOutputs{verdict: bcc.VerdictNo, label: -1}
 		}
-		for s := 0; s < slots; s++ {
-			claimedID := int(stream >> uint(s*n.idBits) & mask)
-			if w := ix.rank(claimedID); w >= 0 {
-				claims[v] = append(claims[v], w)
-			}
-		}
+		claims[v] = claimSlots(claims[v], ix, n.portStream(p), slots, n.idBits)
 	}
 	g := claimGraph(ix.n(), claims)
 	return outputsFromGraph(g, ix, self, false)

@@ -23,7 +23,7 @@ import (
 // equivFamilies are the input shapes under test. The cycles exercise
 // the word-boundary regimes on 2-regular inputs; "er" is a seeded
 // er-threshold graph — irregular degrees (so kt0-exchange's phase-2
-// stream overflows its 64-bit word and sketch nodes cross the 4a
+// stream spans several 64-bit words and sketch nodes cross the 4a
 // live-neighbour silence gate), isolated vertices, and usually
 // disconnected.
 var equivFamilies = []string{"one-cycle", "two-cycle", "er"}
@@ -342,12 +342,14 @@ func TestReplicaParallelMatchesSequential(t *testing.T) {
 // TestBareNodesMatchRunner pins shared-vs-private semantics: a manual
 // round loop over bare NewNode nodes (each with its own private mirror,
 // the form transcript verification and the reductions drive by hand)
-// must reproduce the runner's bound-run outputs exactly.
+// must reproduce the runner's bound-run outputs exactly. IDs are 8 bits
+// wide at n = 70 and 9 at n = 130, where kt0-exchange's phase-2 slots
+// straddle word boundaries.
 func TestBareNodesMatchRunner(t *testing.T) {
 	for _, pc := range protoCases() {
 		pc := pc
 		t.Run(pc.name, func(t *testing.T) {
-			for _, n := range []int{22, 70} {
+			for _, n := range equivSizes {
 				for _, fam := range equivFamilies {
 					in, maxDeg := buildInstance(t, pc, fam, n, true)
 					algo := pc.make(t, 2*(n-1)+3, maxDeg)

@@ -191,3 +191,25 @@ func TestLookupAndNames(t *testing.T) {
 		t.Error("Lookup accepted an unknown name")
 	}
 }
+
+// TestKT0ExchangeWideStream runs kt0-exchange on an input whose phase-2
+// stream spans two words: a star with centre 0 and leaves 1..14,
+// vertices 15..29 isolated, and the edge 30–31 give MaxDegree 14 and
+// 5-bit IDs, so 70 bits per stream. Slots past bit 64 must decode as
+// the IDs that were broadcast, not as truncated or zero IDs.
+func TestKT0ExchangeWideStream(t *testing.T) {
+	g := graph.New(32)
+	for v := 1; v <= 14; v++ {
+		g.MustAddEdge(0, v)
+	}
+	g.MustAddEdge(30, 31)
+	for _, seed := range []int64{1, 2, 3} {
+		out, err := KT0Exchange{}.Run(context.Background(), g, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Correct {
+			t.Errorf("seed %d: verdict %v, labels %v, correct=false", seed, out.Verdict, out.Labels)
+		}
+	}
+}
