@@ -100,9 +100,12 @@ bench-serving:
 # Record the memory-footprint baseline: bytes/op per protocol×size cell
 # through the no-transcript sweep path (BENCH_memory.json). These are
 # the numbers the shared-substrate split is accountable to — B/op is
-# machine-independent, so CI gates on it with -bytes.
+# machine-independent, so CI gates on it with -bytes. Record and compare
+# both run at -cpu 1: sync.Pool caches are per-P, so at GOMAXPROCS ≥ 2 a
+# run that lands on a cold P re-allocates its arenas and B/op goes
+# bimodal.
 bench-memory:
-	$(GO) test -bench 'BenchmarkMemory' -benchmem -benchtime 2x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Memory' -out BENCH_memory.json
+	$(GO) test -bench 'BenchmarkMemory' -benchmem -benchtime 2x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Memory' -out BENCH_memory.json
 
 # Regression gate: re-measure the Scale and Bitplane groups into fresh
 # baselines and compare against the checked-in ones. Exits non-zero on
@@ -117,7 +120,7 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) BENCH_bitplane.json /tmp/bench_bitplane_fresh.json
 	$(GO) test -bench 'BenchmarkServing' -benchmem -benchtime 100x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Serving' -out /tmp/bench_serving_fresh.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) BENCH_serving.json /tmp/bench_serving_fresh.json
-	$(GO) test -bench 'BenchmarkMemory' -benchmem -benchtime 2x -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Memory' -out /tmp/bench_memory_fresh.json
+	$(GO) test -bench 'BenchmarkMemory' -benchmem -benchtime 2x -cpu 1 -run '^$$' . | $(GO) run ./cmd/benchjson -match '^Memory' -out /tmp/bench_memory_fresh.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 25 $(COMPARE_FLAGS) -bytes BENCH_memory.json /tmp/bench_memory_fresh.json
 
 # Regenerate the full experiment report.

@@ -719,14 +719,29 @@ func BenchmarkScaleBuildERBuilder(b *testing.B) {
 // BenchmarkScaleBuildBarbellFamily builds the densest sweep family
 // (n/2-cliques, Θ(n²) edges) end to end through the family registry —
 // the generator the CSR builder speeds up the most.
-func BenchmarkScaleBuildBarbellFamily(b *testing.B) {
-	fam, ok := family.Lookup("barbell")
+func BenchmarkScaleBuildBarbellFamily(b *testing.B) { benchFamilyBuild(b, "barbell", 1024) }
+
+// BenchmarkScaleBuildGridFamily4096 builds the largest grid of the
+// sweep ladders, Check included: its arboricity-2 witness never needs
+// an augmenting search, so this is the accept-first path alone.
+func BenchmarkScaleBuildGridFamily4096(b *testing.B) { benchFamilyBuild(b, "grid", 4096) }
+
+// BenchmarkScaleBuildForest2Family1024 builds a forest-2 union, Check
+// included: sorted-order insertion makes many of its edges close a
+// cycle in both forests, so the augmenting search and the lazily
+// rebuilt rooted views dominate.
+func BenchmarkScaleBuildForest2Family1024(b *testing.B) { benchFamilyBuild(b, "forest-2", 1024) }
+
+// benchFamilyBuild measures fam.Build(n, 1), generation plus the
+// verification of every declared invariant.
+func benchFamilyBuild(b *testing.B, name string, n int) {
+	fam, ok := family.Lookup(name)
 	if !ok {
-		b.Fatal("barbell family missing")
+		b.Fatalf("%s family missing", name)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := fam.Build(1024, 1); err != nil {
+		if _, err := fam.Build(n, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

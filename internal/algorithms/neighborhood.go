@@ -66,9 +66,10 @@ func (a *NeighborhoodBroadcast) NewNode(view bcc.View, _ *bcc.Coin) bcc.Node {
 	for i, p := range view.InputPorts {
 		node.slots[i] = node.ix.rank(view.PortID(p))
 	}
-	// heard[p] accumulates the bit stream from port p; portRank maps
-	// ports to vertex indices.
-	node.heard = make([]uint64, view.NumPorts)
+	// heard holds each port's MaxDegree·idxBits-bit stream in words
+	// 64-bit words, port-major; portRank maps ports to vertex indices.
+	node.words = (a.MaxDegree*node.idxBits + 63) / 64
+	node.heard = make([]uint64, view.NumPorts*node.words)
 	node.portRank = make([]int, view.NumPorts)
 	for p := 0; p < view.NumPorts; p++ {
 		node.portRank[p] = node.ix.rank(view.PortID(p))
@@ -82,6 +83,7 @@ type nbNode struct {
 	ix        *indexer
 	self      int
 	slots     []int
+	words     int
 	heard     []uint64
 	portRank  []int
 	rounds    int
@@ -106,9 +108,12 @@ func (n *nbNode) Receive(round int, inbox []bcc.Message) {
 	}
 	n.rounds = round
 	for p, m := range inbox {
-		n.heard[p] |= uint64(m.BitAt(0)) << uint(round-1)
+		setStreamBit(n.portStream(p), m.BitAt(0), round-1)
 	}
 }
+
+// portStream returns the stream heard on port p.
+func (n *nbNode) portStream(p int) []uint64 { return n.heard[p*n.words : (p+1)*n.words] }
 
 // BindPlane implements bcc.BitNode. The per-port bit streams are
 // rank-addressed under the canonical wiring (port p of self is rank p
@@ -141,7 +146,13 @@ func (n *nbNode) ReceivePlanes(round int, planes [][]uint64, _ []uint64) {
 		return
 	}
 	n.rounds = round
-	shift := uint(round - 1)
+	// Every set bit of the round lands in the same stream word of its
+	// port; rounds past the stream lie beyond the schedule.
+	at := round - 1
+	if at >= n.words<<6 {
+		return
+	}
+	off, mask := at>>6, uint64(1)<<uint(at&63)
 	selfW, selfM := n.self>>6, uint64(1)<<uint(n.self&63)
 	for wi, w := range planes[0] {
 		if wi == selfW {
@@ -154,7 +165,7 @@ func (n *nbNode) ReceivePlanes(round int, planes [][]uint64, _ []uint64) {
 			if u > n.self {
 				p = u - 1
 			}
-			n.heard[p] |= 1 << shift
+			n.heard[p*n.words+off] |= mask
 		}
 	}
 }
@@ -170,11 +181,10 @@ func (n *nbNode) outputs() componentOutputs {
 		claims[n.self] = append(claims[n.self], s)
 	}
 	slots := n.rounds / n.idxBits
-	for p, stream := range n.heard {
-		v := n.portRank[p]
+	for p, v := range n.portRank {
+		stream := n.portStream(p)
 		for s := 0; s < slots && s < n.maxDegree; s++ {
-			idx := int(stream>>uint(s*n.idxBits)) & ((1 << uint(n.idxBits)) - 1)
-			claims[v] = append(claims[v], idx)
+			claims[v] = append(claims[v], slotID(stream, s, n.idxBits))
 		}
 	}
 	g := claimGraph(nn, claims)

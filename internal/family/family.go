@@ -156,171 +156,266 @@ func (f *Family) Check(g *graph.Graph, n int) error {
 
 // ForestPartition reports whether the edge set of g can be partitioned
 // into at most a forests — i.e. whether arboricity(g) ≤ a. The decision
-// is exact: edges are inserted incrementally into the a-fold union of
-// graphic matroids with augmenting-path search (an edge that closes a
-// cycle in every forest may displace a cycle edge into another forest,
-// transitively), so by matroid-union theory a failed augmentation
-// certifies that no partition exists. Runs in polynomial time; the
-// instance sizes the sweeps use are far below where the constants
-// matter.
+// is exact: edges are inserted one at a time into the a-fold union of
+// graphic matroids, and by matroid-union theory a failed insertion
+// certifies that no partition exists.
+//
+// Every insertion checks all forests for direct acceptance (a union-find
+// query each) before it expands any tree path, so an edge that some
+// forest accepts costs O(a·α(n)). Only an edge that closes a cycle in
+// every forest starts a breadth-first augmenting search, in which a
+// cycle edge may be displaced into another forest, transitively. The
+// search reads tree paths from a rooted view of each forest (parent edge
+// and depth per vertex), rebuilt lazily after links and unlinks staled
+// it, so a path costs its length and each forest is re-rooted at most
+// once per augmenting insertion. Grid, cycle, star and path builds never
+// augment and build no rooted view at all.
 func ForestPartition(g *graph.Graph, a int) bool {
 	if a < 1 {
 		return g.M() == 0
 	}
-	p := newForestPartitioner(g.N(), a)
-	for _, e := range g.Edges() {
-		if !p.insert(e) {
+	p := newForestPartitioner(g.N(), a, g.Edges())
+	for id := range p.edges {
+		if !p.insert(int32(id)) {
 			return false
 		}
 	}
 	return true
 }
 
-// forestPartitioner maintains a partition of an incrementally grown edge
-// set into k forests. Each layer carries a union-find connectivity
-// oracle so the common case — "does this layer accept the edge?" — is
-// O(α) instead of a breadth-first scan of the whole tree; the oracle is
-// invalidated (and lazily rebuilt) on the rare displacement unlinks,
-// which union-find cannot replay.
+// forestPartitioner maintains a partition of a growing prefix of edges
+// into forests. An edge is named by its index in edges.
 type forestPartitioner struct {
 	n       int
-	k       int
-	layerOf map[graph.Edge]int
-	adj     [][][]int  // adj[layer][v] = neighbours of v within that forest
-	conn    []*dsu.DSU // conn[layer] = same-tree oracle; nil when stale
+	edges   []graph.Edge
+	layerOf []int32 // layerOf[id] = forest holding the edge, -1 while unplaced
+	layers  []forestLayer
+
+	// Augmenting-search scratch, reused across insertions. An edge f
+	// reached from x through forest l records via[f] = x and
+	// viaLayer[f] = l: x enters l once f vacates it.
+	seen     []bool
+	via      []int32
+	viaLayer []int32
+	queue    []int32
+	path     []int32
+	stack    []int32
 }
 
-func newForestPartitioner(n, k int) *forestPartitioner {
+// forestLayer is one forest of the partition. Union-find cannot split,
+// so an unlink stales conn; a link or unlink stales the rooted view.
+// Both are rebuilt on their next use.
+type forestLayer struct {
+	adj      [][]int32 // adj[v] = ids of this forest's edges at v
+	conn     *dsu.Compact
+	connOK   bool
+	up       []int32 // up[v] = id of the edge from v to its parent, -1 at a root
+	depth    []int32
+	rootedOK bool
+}
+
+func newForestPartitioner(n, k int, edges []graph.Edge) *forestPartitioner {
+	m := len(edges)
 	p := &forestPartitioner{
-		n: n, k: k,
-		layerOf: make(map[graph.Edge]int),
-		adj:     make([][][]int, k),
-		conn:    make([]*dsu.DSU, k),
+		n:        n,
+		edges:    edges,
+		layerOf:  make([]int32, m),
+		layers:   make([]forestLayer, k),
+		seen:     make([]bool, m),
+		via:      make([]int32, m),
+		viaLayer: make([]int32, m),
 	}
-	for i := range p.adj {
-		p.adj[i] = make([][]int, n)
-		p.conn[i] = dsu.New(n)
+	for i := range p.layerOf {
+		p.layerOf[i] = -1
+	}
+	// A vertex has at most its degree in g edges in any one forest, so
+	// each forest's adjacency lists are carved out of one arena with
+	// exactly that capacity: links never reallocate.
+	off := make([]int, n+1)
+	for _, e := range edges {
+		off[e.U+1]++
+		off[e.V+1]++
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	for i := range p.layers {
+		arena := make([]int32, 2*m)
+		adj := make([][]int32, n)
+		for v := range adj {
+			adj[v] = arena[off[v]:off[v]:off[v+1]]
+		}
+		p.layers[i] = forestLayer{adj: adj, conn: dsu.NewCompact(n), connOK: true}
 	}
 	return p
 }
 
-// sameTree reports whether u and v lie in one tree of the given layer,
-// rebuilding the layer's union-find oracle if a displacement staled it.
-func (p *forestPartitioner) sameTree(layer, u, v int) bool {
-	d := p.conn[layer]
-	if d == nil {
-		d = dsu.New(p.n)
-		for x := 0; x < p.n; x++ {
-			for _, w := range p.adj[layer][x] {
-				if x < w {
-					d.Union(x, w)
+// other returns the endpoint of edge id that is not x.
+func (p *forestPartitioner) other(id int32, x int) int {
+	e := p.edges[id]
+	return e.U ^ e.V ^ x
+}
+
+// accepting returns the first forest, other than the one holding it,
+// whose trees edge id joins without closing a cycle; -1 if none does.
+func (p *forestPartitioner) accepting(id int32) int32 {
+	e := p.edges[id]
+	for i := range p.layers {
+		if int32(i) == p.layerOf[id] {
+			continue
+		}
+		l := &p.layers[i]
+		if !l.connOK {
+			l.conn.Reset(p.n)
+			for x, ids := range l.adj {
+				for _, f := range ids {
+					if w := p.other(f, x); x < w {
+						l.conn.Union(x, w)
+					}
 				}
 			}
+			l.connOK = true
 		}
-		p.conn[layer] = d
+		if !l.conn.Same(e.U, e.V) {
+			return int32(i)
+		}
 	}
-	return d.Same(u, v)
+	return -1
 }
 
-func (p *forestPartitioner) link(layer int, e graph.Edge) {
-	p.layerOf[e] = layer
-	p.adj[layer][e.U] = append(p.adj[layer][e.U], e.V)
-	p.adj[layer][e.V] = append(p.adj[layer][e.V], e.U)
-	if d := p.conn[layer]; d != nil {
-		d.Union(e.U, e.V)
+func (p *forestPartitioner) link(layer, id int32) {
+	p.layerOf[id] = layer
+	l := &p.layers[layer]
+	e := p.edges[id]
+	l.adj[e.U] = append(l.adj[e.U], id)
+	l.adj[e.V] = append(l.adj[e.V], id)
+	if l.connOK {
+		l.conn.Union(e.U, e.V)
 	}
+	l.rootedOK = false
 }
 
-func (p *forestPartitioner) unlink(layer int, e graph.Edge) {
-	delete(p.layerOf, e)
-	for _, end := range [2]struct{ at, drop int }{{e.U, e.V}, {e.V, e.U}} {
-		a := p.adj[layer][end.at]
-		for i, w := range a {
-			if w == end.drop {
-				p.adj[layer][end.at] = append(a[:i], a[i+1:]...)
+func (p *forestPartitioner) unlink(layer, id int32) {
+	p.layerOf[id] = -1
+	l := &p.layers[layer]
+	e := p.edges[id]
+	for _, x := range [2]int{e.U, e.V} {
+		ids := l.adj[x]
+		for i, f := range ids {
+			if f == id {
+				ids[i] = ids[len(ids)-1]
+				l.adj[x] = ids[:len(ids)-1]
 				break
 			}
 		}
 	}
-	p.conn[layer] = nil // union-find cannot split; rebuild on next query
+	l.connOK = false
+	l.rootedOK = false
 }
 
-// treePath returns the vertex path from u to v within one forest layer
-// (nil if u and v lie in different trees).
-func (p *forestPartitioner) treePath(layer, u, v int) []int {
-	prev := map[int]int{u: u}
-	queue := []int{u}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		if x == v {
-			var path []int
-			for at := v; ; at = prev[at] {
-				path = append(path, at)
-				if at == u {
-					return path
+// treePath returns the ids of the edges on the path between the
+// endpoints of edge id within forest layer, which must hold both
+// endpoints in one tree. The slice is scratch, valid until the next
+// call.
+func (p *forestPartitioner) treePath(layer, id int32) []int32 {
+	l := &p.layers[layer]
+	if !l.rootedOK {
+		p.root(l)
+	}
+	e := p.edges[id]
+	u, v := e.U, e.V
+	path := p.path[:0]
+	for u != v {
+		if l.depth[u] < l.depth[v] {
+			u, v = v, u
+		}
+		f := l.up[u]
+		path = append(path, f)
+		u = p.other(f, u)
+	}
+	p.path = path
+	return path
+}
+
+// root rebuilds the rooted view of one forest: every tree is rooted at
+// its smallest vertex.
+func (p *forestPartitioner) root(l *forestLayer) {
+	if l.up == nil {
+		l.up = make([]int32, p.n)
+		l.depth = make([]int32, p.n)
+	}
+	for v := range l.depth {
+		l.depth[v] = -1
+	}
+	stack := p.stack[:0]
+	for r := range l.depth {
+		if l.depth[r] >= 0 {
+			continue
+		}
+		l.up[r], l.depth[r] = -1, 0
+		stack = append(stack, int32(r))
+		for len(stack) > 0 {
+			x := int(stack[len(stack)-1])
+			stack = stack[:len(stack)-1]
+			for _, f := range l.adj[x] {
+				if w := p.other(f, x); l.depth[w] < 0 {
+					l.up[w], l.depth[w] = f, l.depth[x]+1
+					stack = append(stack, int32(w))
 				}
 			}
 		}
-		for _, w := range p.adj[layer][x] {
-			if _, seen := prev[w]; !seen {
-				prev[w] = x
-				queue = append(queue, w)
-			}
-		}
 	}
-	return nil
+	p.stack = stack
+	l.rootedOK = true
 }
 
-// insert adds e0 to the partition, displacing cycle edges between
-// forests via breadth-first augmenting search when no forest accepts it
-// directly. A false return certifies the grown edge set has no k-forest
-// partition.
-func (p *forestPartitioner) insert(e0 graph.Edge) bool {
-	type hop struct {
-		via   graph.Edge // the edge that wants to enter…
-		layer int        // …this layer, once the child edge vacates it
-	}
-	parent := make(map[graph.Edge]hop)
-	visited := map[graph.Edge]bool{e0: true}
-	queue := []graph.Edge{e0}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for i := 0; i < p.k; i++ {
-			if l, assigned := p.layerOf[x]; assigned && l == i {
+// insert adds edge e0 to the partition. When no forest accepts it, a
+// breadth-first augmenting search looks for a chain of displacements
+// that ends in an edge some other forest accepts. A false return
+// certifies the grown edge set has no partition into len(layers)
+// forests.
+func (p *forestPartitioner) insert(e0 int32) bool {
+	queue := append(p.queue[:0], e0)
+	p.seen[e0] = true
+	placed := false
+	for head := 0; head < len(queue); head++ {
+		x := queue[head]
+		if dest := p.accepting(x); dest >= 0 {
+			// Place x and cascade each displacing edge into the forest
+			// its successor just vacated.
+			for cur := x; ; cur, dest = p.via[cur], p.viaLayer[cur] {
+				if old := p.layerOf[cur]; old >= 0 {
+					p.unlink(old, cur)
+				}
+				p.link(dest, cur)
+				if cur == e0 {
+					break
+				}
+			}
+			placed = true
+			break
+		}
+		// Every other forest closes a cycle on x: the edges of each
+		// cycle are the displacement frontier.
+		for i := range p.layers {
+			layer := int32(i)
+			if layer == p.layerOf[x] {
 				continue
 			}
-			if !p.sameTree(i, x.U, x.V) {
-				// Layer i accepts x: place it and cascade the parents
-				// into the layers their children just vacated.
-				cur, dest := x, i
-				for {
-					old, assigned := p.layerOf[cur]
-					if assigned {
-						p.unlink(old, cur)
-					}
-					p.link(dest, cur)
-					pr, ok := parent[cur]
-					if !ok {
-						return true
-					}
-					cur, dest = pr.via, pr.layer
-				}
-			}
-			// Same tree: the unique tree path is the displacement frontier.
-			path := p.treePath(i, x.U, x.V)
-			for j := 1; j < len(path); j++ {
-				f := graph.NormEdge(path[j-1], path[j])
-				if !visited[f] {
-					visited[f] = true
-					parent[f] = hop{via: x, layer: i}
+			for _, f := range p.treePath(layer, x) {
+				if !p.seen[f] {
+					p.seen[f] = true
+					p.via[f], p.viaLayer[f] = x, layer
 					queue = append(queue, f)
 				}
 			}
 		}
 	}
-	return false
+	for _, f := range queue {
+		p.seen[f] = false
+	}
+	p.queue = queue
+	return placed
 }
 
 // registry is the fixed family list, in registry order. Generators must

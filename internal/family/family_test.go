@@ -1,6 +1,7 @@
 package family
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -174,6 +175,109 @@ func TestForestPartition(t *testing.T) {
 	}
 	if !ForestPartition(k4, 2) {
 		t.Error("K4 should fit 2 forests")
+	}
+}
+
+// bruteForestPartition decides arboricity(n, edges) ≤ a (a ≤ 3, n ≤ 8)
+// by searching every a-colouring of the edges, pruning a colour as soon
+// as it closes a cycle. comp[c][v] labels v's tree in colour c.
+func bruteForestPartition(n int, edges []graph.Edge, a int) bool {
+	var try func(i int, comp [3][8]int8) bool
+	try = func(i int, comp [3][8]int8) bool {
+		if i == len(edges) {
+			return true
+		}
+		e := edges[i]
+		for c := 0; c < a; c++ {
+			cu, cv := comp[c][e.U], comp[c][e.V]
+			if cu == cv {
+				continue
+			}
+			next := comp
+			for v := 0; v < n; v++ {
+				if next[c][v] == cv {
+					next[c][v] = cu
+				}
+			}
+			if try(i+1, next) {
+				return true
+			}
+		}
+		return false
+	}
+	var comp [3][8]int8
+	for c := range comp {
+		for v := range comp[c] {
+			comp[c][v] = int8(v)
+		}
+	}
+	return try(0, comp)
+}
+
+// greedyForestPartition places each edge in the first forest that
+// accepts it and never displaces one: the decision without augmenting
+// search.
+func greedyForestPartition(g *graph.Graph, a int) bool {
+	p := newForestPartitioner(g.N(), a, g.Edges())
+	for id := range p.edges {
+		dest := p.accepting(int32(id))
+		if dest < 0 {
+			return false
+		}
+		p.link(dest, int32(id))
+	}
+	return true
+}
+
+// TestForestPartitionMatchesBruteForce compares ForestPartition with an
+// exhaustive search over edge colourings on seeded random small graphs,
+// and with Nash-Williams' arboricity ⌈n/2⌉ on K₄…K₇. Grid, cycle, star
+// and path builds never displace an edge, so this is the test that
+// exercises the augmenting search: it requires graphs on which greedy
+// placement fails but a partition exists.
+func TestForestPartitionMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	augmented := 0
+	for trial := 0; trial < 3000; trial++ {
+		n := 2 + rng.Intn(6)
+		m := rng.Intn(min(12, n*(n-1)/2) + 1)
+		b := graph.NewBuilder(n)
+		for added := 0; added < m; {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u != v && !b.Has(u, v) {
+				b.MustAdd(u, v)
+				added++
+			}
+		}
+		g := b.MustFreeze()
+		for a := 1; a <= 3; a++ {
+			want := bruteForestPartition(n, g.Edges(), a)
+			if got := ForestPartition(g, a); got != want {
+				t.Fatalf("trial %d, a=%d, edges %v: ForestPartition = %v, brute force = %v", trial, a, g.Edges(), got, want)
+			}
+			if want && !greedyForestPartition(g, a) {
+				augmented++
+			}
+		}
+	}
+	if augmented == 0 {
+		t.Error("no trial needed an augmenting search; the displacement cascade went untested")
+	}
+	for n := 4; n <= 7; n++ {
+		k := graph.NewBuilder(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				k.MustAdd(u, v)
+			}
+		}
+		g := k.MustFreeze()
+		arb := (n + 1) / 2
+		if !ForestPartition(g, arb) {
+			t.Errorf("K%d should fit %d forests", n, arb)
+		}
+		if ForestPartition(g, arb-1) {
+			t.Errorf("K%d cannot fit %d forests", n, arb-1)
+		}
 	}
 }
 

@@ -213,3 +213,50 @@ func TestKT0ExchangeWideStream(t *testing.T) {
 		}
 	}
 }
+
+// TestNeighborhoodWideStream runs neighborhood on an input whose
+// per-port stream spans two words: at n = 1024 (10-bit indices) vertex
+// 100 with leaves 1..7 and vertex 200 with leaves 8..14, joined by the
+// edge 100–200, give MaxDegree 8 and 80 bits per stream. The edge sits
+// in slot 7 (bits 70..79) on both sides, so a one-word stream drops it
+// and reports two components. The 70-bit instance of
+// TestKT0ExchangeWideStream, small enough for the per-port reference
+// loop, pins the word plane's wide streams to the reference oracle.
+func TestNeighborhoodWideStream(t *testing.T) {
+	g := graph.New(1024)
+	for v := 1; v <= 7; v++ {
+		g.MustAddEdge(100, v)
+		g.MustAddEdge(200, v+7)
+	}
+	g.MustAddEdge(100, 200)
+	out, err := Neighborhood{}.Run(context.Background(), g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Correct || out.SilentWrong() {
+		t.Errorf("n=1024: verdict %v, correct=%v, silent wrong=%v", out.Verdict, out.Correct, out.SilentWrong())
+	}
+
+	star := graph.New(32)
+	for v := 1; v <= 14; v++ {
+		star.MustAddEdge(0, v)
+	}
+	star.MustAddEdge(30, 31)
+	fast, err := Neighborhood{}.Run(context.Background(), star, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	referenceOracle = true
+	oracle, err := Neighborhood{}.Run(context.Background(), star, 1)
+	referenceOracle = false
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fast.Correct || !fast.BitPlane || oracle.BitPlane {
+		t.Fatalf("n=32: correct=%v, plane runs: fast %v oracle %v", fast.Correct, fast.BitPlane, oracle.BitPlane)
+	}
+	oracle.BitPlane = true
+	if !reflect.DeepEqual(fast, oracle) {
+		t.Errorf("n=32: outcomes diverge:\nfast   %+v\noracle %+v", fast, oracle)
+	}
+}
